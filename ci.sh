@@ -49,6 +49,15 @@ cargo run --offline --release -p bench -- factor --quick
 echo "==> certify gate (bench certify --quick)"
 cargo run --offline --release -p bench -- certify --quick
 
+echo "==> tribench unit tests"
+cargo test --offline -q --manifest-path tribench/Cargo.toml
+
+# A short keyed_churn run: exits nonzero on any rejected, wrong or
+# missing answer, so this is a correctness smoke, not a timing gate.
+echo "==> tribench smoke (keyed_churn, 3 s)"
+cargo run --offline --release --quiet --manifest-path tribench/Cargo.toml -- \
+    --workload keyed_churn --seconds 3
+
 # Surface the perf artifacts the gates above just wrote (canonical copies
 # stay under target/repro/; the repo-root copies are gitignored and exist
 # for CI artifact upload).

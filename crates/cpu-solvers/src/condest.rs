@@ -1,12 +1,15 @@
 //! Condition-number estimation for tridiagonal matrices — Hager's 1-norm
-//! estimator (the algorithm behind LAPACK's `xLACON`), using the pivoted
-//! tridiagonal solver for the `A^{-1}` and `A^{-T}` applications. O(n) per
-//! iteration, at most a handful of iterations.
+//! estimator (the algorithm behind LAPACK's `xLACON`), in the shape of
+//! LAPACK `xGTCON`: `A` and `Aᵀ` are each factored once with the pivoted
+//! elimination ([`GepFactors`]), and every `A^{-1}` / `A^{-T}` application
+//! replays the stored factors. O(n) per iteration, at most a handful of
+//! iterations.
 //!
 //! A cheap condition estimate tells a user *why* a pivoting-free GPU solve
 //! went bad (paper §5.4's accuracy discussion) and lets the robust wrapper
 //! scale its acceptance thresholds.
 
+use crate::gep::GepFactors;
 use tridiag_core::{Real, Result, TridiagonalSystem};
 
 /// Exact 1-norm of `A` (max absolute column sum).
@@ -26,33 +29,31 @@ pub fn norm1<T: Real>(sys: &TridiagonalSystem<T>) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// The transpose system (tridiagonal again, with `a`/`c` exchanged and
-/// shifted; the right-hand side is the caller's).
-fn transpose<T: Real>(sys: &TridiagonalSystem<T>, d: Vec<T>) -> TridiagonalSystem<T> {
-    let n = sys.n();
-    let mut a_t = vec![T::ZERO; n];
-    let mut c_t = vec![T::ZERO; n];
-    a_t[1..n].copy_from_slice(&sys.c[..n - 1]);
-    c_t[..n - 1].copy_from_slice(&sys.a[1..n]);
-    TridiagonalSystem { a: a_t, b: sys.b.clone(), c: c_t, d }
-}
-
-/// Estimates `||A^{-1}||_1` with Hager's power iteration (<= 5 solves).
+/// Estimates `||A^{-1}||_1` with Hager's power iteration (<= 5 iterations,
+/// each one `A^{-1}` and one `A^{-T}` application).
+///
+/// # Errors
+/// The zero pivot [`crate::gep::solve_into`] reports for `A` or, failing
+/// that, for `Aᵀ`.
 pub fn inverse_norm1_estimate<T: Real>(sys: &TridiagonalSystem<T>) -> Result<f64> {
     let n = sys.n();
+    let lu = GepFactors::factor(&sys.a, &sys.b, &sys.c)?;
+    let lu_t = GepFactors::factor_transpose(&sys.a, &sys.b, &sys.c)?;
     let inv_n = T::from_f64(1.0 / n as f64);
     let mut x = vec![inv_n; n];
+    let mut y = vec![T::ZERO; n];
+    let mut z = vec![T::ZERO; n];
     let mut est = 0.0f64;
     for _iter in 0..5 {
         // y = A^{-1} x
-        let mut probe = sys.clone();
-        probe.d = x.clone();
-        let y = crate::gep::solve(&probe)?;
+        y.copy_from_slice(&x);
+        lu.solve_in_place(&mut y);
         let new_est: f64 = y.iter().map(|v| v.abs().to_f64()).sum();
-        // xi = sign(y); z = A^{-T} xi
-        let xi: Vec<T> = y.iter().map(|&v| if v < T::ZERO { -T::ONE } else { T::ONE }).collect();
-        let t = transpose(sys, xi);
-        let z = crate::gep::solve(&t)?;
+        // z = A^{-T} sign(y)
+        for (zi, &yi) in z.iter_mut().zip(&y) {
+            *zi = if yi < T::ZERO { -T::ONE } else { T::ONE };
+        }
+        lu_t.solve_in_place(&mut z);
         let (j, z_inf) = z
             .iter()
             .enumerate()
@@ -65,7 +66,7 @@ pub fn inverse_norm1_estimate<T: Real>(sys: &TridiagonalSystem<T>) -> Result<f64
             break;
         }
         est = new_est;
-        x = vec![T::ZERO; n];
+        x.fill(T::ZERO);
         x[j] = T::ONE;
     }
     Ok(est)
@@ -94,6 +95,80 @@ mod tests {
             best = best.max(col.iter().map(|v| v.abs()).sum());
         }
         best
+    }
+
+    /// The estimator as first written — a fresh `gep::solve` of a cloned
+    /// (or explicitly transposed) system per application — kept as the
+    /// oracle for the factor-once version.
+    fn reference_inverse_norm1_estimate<T: Real>(sys: &TridiagonalSystem<T>) -> Result<f64> {
+        let n = sys.n();
+        let transpose = |d: Vec<T>| {
+            let mut t =
+                TridiagonalSystem { a: vec![T::ZERO; n], b: sys.b.clone(), c: vec![T::ZERO; n], d };
+            t.a[1..n].copy_from_slice(&sys.c[..n - 1]);
+            t.c[..n - 1].copy_from_slice(&sys.a[1..n]);
+            t
+        };
+        let mut x = vec![T::from_f64(1.0 / n as f64); n];
+        let mut est = 0.0f64;
+        for _iter in 0..5 {
+            let mut probe = sys.clone();
+            probe.d = x.clone();
+            let y = crate::gep::solve(&probe)?;
+            let new_est: f64 = y.iter().map(|v| v.abs().to_f64()).sum();
+            let xi: Vec<T> =
+                y.iter().map(|&v| if v < T::ZERO { -T::ONE } else { T::ONE }).collect();
+            let z = crate::gep::solve(&transpose(xi))?;
+            let (j, z_inf) = z
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (i, v.abs().to_f64()))
+                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+                .expect("nonempty");
+            let ztx: f64 = z.iter().zip(&x).map(|(&p, &q)| p.to_f64() * q.to_f64()).sum();
+            if new_est <= est || z_inf <= ztx.abs() {
+                est = est.max(new_est);
+                break;
+            }
+            est = new_est;
+            x = vec![T::ZERO; n];
+            x[j] = T::ONE;
+        }
+        Ok(est)
+    }
+
+    fn assert_matches_reference<T: Real>(sys: &TridiagonalSystem<T>, label: &str) {
+        match (inverse_norm1_estimate(sys), reference_inverse_norm1_estimate(sys)) {
+            (Ok(new), Ok(old)) => {
+                assert_eq!(new.to_bits(), old.to_bits(), "{label}: {new} vs {old}")
+            }
+            (new, old) => assert_eq!(new, old, "{label}"),
+        }
+    }
+
+    #[test]
+    fn factor_once_estimator_is_bitwise_the_per_solve_estimator() {
+        let mut g = Generator::new(0xC0DE);
+        for family in Workload::ALL {
+            for n in [1usize, 2, 3, 8, 33, 256, 1000] {
+                for draw in 0..3 {
+                    let s32: TridiagonalSystem<f32> = g.system(family, n);
+                    assert_matches_reference(&s32, &format!("f32 {family:?} n={n} #{draw}"));
+                    let s64: TridiagonalSystem<f64> = g.system(family, n);
+                    assert_matches_reference(&s64, &format!("f64 {family:?} n={n} #{draw}"));
+                }
+            }
+        }
+        // Exactly singular: both versions report the same zero pivot.
+        let singular = TridiagonalSystem::<f64>::new(
+            vec![0.0, 1.0, 0.0],
+            vec![1.0, 1.0, 1.0],
+            vec![1.0, 0.0, 0.0],
+            vec![0.0; 3],
+        )
+        .unwrap();
+        assert!(inverse_norm1_estimate(&singular).is_err());
+        assert_matches_reference(&singular, "singular");
     }
 
     #[test]

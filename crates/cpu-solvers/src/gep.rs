@@ -102,6 +102,116 @@ pub fn solve<T: Real>(system: &tridiag_core::TridiagonalSystem<T>) -> Result<Vec
     Ok(x)
 }
 
+/// The stored outcome of [`solve_into`]'s elimination sweep for one matrix
+/// (the shape of LAPACK `xGTTRF`): per-step multipliers and interchange
+/// flags, plus the `U` bands. [`GepFactors::solve_in_place`] replays the
+/// sweep on a right-hand side with exactly the operations `solve_into`
+/// performs, so its answers are bitwise identical to a fresh solve while
+/// skipping the O(n) band copies and pivot decisions.
+#[derive(Debug, Clone)]
+pub struct GepFactors<T: Real> {
+    /// Step `i`'s elimination multiplier.
+    fact: Vec<T>,
+    /// Whether step `i` interchanged rows `i` and `i+1`.
+    swapped: Vec<bool>,
+    /// `U` diagonal.
+    dg: Vec<T>,
+    /// `U` first super-diagonal.
+    du: Vec<T>,
+    /// `U` second super-diagonal (interchange fill-in).
+    du2: Vec<T>,
+}
+
+impl<T: Real> GepFactors<T> {
+    /// Factors `A` (the [`tridiag_core::TridiagonalSystem`] band
+    /// convention).
+    ///
+    /// # Errors
+    /// The [`TridiagError::ZeroPivot`] (or empty-size error) that
+    /// [`solve_into`] reports for the same matrix.
+    pub fn factor(a: &[T], b: &[T], c: &[T]) -> Result<Self> {
+        let n = b.len();
+        Self::factor_bands(a.get(1..).unwrap_or_default(), b, &c[..n.saturating_sub(1)])
+    }
+
+    /// Factors `Aᵀ`: the same bands with sub- and super-diagonal
+    /// exchanged, without materialising the transpose.
+    ///
+    /// # Errors
+    /// As [`GepFactors::factor`], for the transposed matrix.
+    pub fn factor_transpose(a: &[T], b: &[T], c: &[T]) -> Result<Self> {
+        let n = b.len();
+        Self::factor_bands(&c[..n.saturating_sub(1)], b, a.get(1..).unwrap_or_default())
+    }
+
+    /// [`solve_into`]'s elimination with the right-hand side left out;
+    /// `dl[i]` is row `i+1`'s sub-diagonal entry, `du[i]` row `i`'s
+    /// super-diagonal entry.
+    fn factor_bands(dl: &[T], dg: &[T], du: &[T]) -> Result<Self> {
+        let n = dg.len();
+        if n == 0 {
+            return Err(TridiagError::SizeTooSmall { n: 0, min: 1 });
+        }
+        let mut fact = dl.to_vec();
+        let mut dg = dg.to_vec();
+        let mut du = du.to_vec();
+        let mut du2 = vec![T::ZERO; n.saturating_sub(2)];
+        let mut swapped = vec![false; n - 1];
+        for i in 0..n - 1 {
+            let sub = fact[i];
+            if dg[i].abs() >= sub.abs() {
+                if dg[i] == T::ZERO {
+                    return Err(TridiagError::ZeroPivot { row: i });
+                }
+                fact[i] = sub / dg[i];
+                dg[i + 1] -= fact[i] * du[i];
+            } else {
+                swapped[i] = true;
+                fact[i] = dg[i] / sub;
+                dg[i] = sub;
+                let temp = dg[i + 1];
+                dg[i + 1] = du[i] - fact[i] * temp;
+                du[i] = temp;
+                if i + 2 < n {
+                    du2[i] = du[i + 1];
+                    du[i + 1] = -fact[i] * du2[i];
+                }
+            }
+        }
+        if dg[n - 1] == T::ZERO {
+            return Err(TridiagError::ZeroPivot { row: n - 1 });
+        }
+        Ok(GepFactors { fact, swapped, dg, du, du2 })
+    }
+
+    /// Overwrites `x` (the right-hand side on entry) with the solution.
+    ///
+    /// # Panics
+    /// When `x.len()` differs from the factored size.
+    pub fn solve_in_place(&self, x: &mut [T]) {
+        let n = self.dg.len();
+        assert_eq!(x.len(), n, "right-hand side length must match the factored size");
+        for i in 0..n - 1 {
+            let fact = self.fact[i];
+            if self.swapped[i] {
+                let temp = x[i];
+                x[i] = x[i + 1];
+                x[i + 1] = temp - fact * x[i + 1];
+            } else {
+                x[i + 1] -= fact * x[i];
+            }
+        }
+        let (dg, du, du2) = (&self.dg, &self.du, &self.du2);
+        x[n - 1] /= dg[n - 1];
+        if n > 1 {
+            x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / dg[n - 2];
+        }
+        for i in (0..n.saturating_sub(2)).rev() {
+            x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / dg[i];
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,6 +318,53 @@ mod tests {
         let mut x = vec![0.0; 2];
         let swaps = solve_into_counting(&s.a, &s.b, &s.c, &s.d, &mut x).unwrap();
         assert!(swaps > 0, "degenerate diagonal must pivot");
+    }
+
+    #[test]
+    fn stored_factors_replay_solve_into_bitwise() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut g = Generator::new(91);
+        for family in Workload::ALL {
+            for n in [1usize, 2, 3, 17, 64] {
+                let s: TridiagonalSystem<f64> = g.system(family, n);
+                let mut fresh = vec![0.0; n];
+                let fresh_ok = solve_into(&s.a, &s.b, &s.c, &s.d, &mut fresh);
+                match GepFactors::factor(&s.a, &s.b, &s.c) {
+                    Ok(lu) => {
+                        fresh_ok.unwrap();
+                        let mut x = s.d.clone();
+                        lu.solve_in_place(&mut x);
+                        assert_eq!(bits(&x), bits(&fresh), "{family:?} n={n}");
+                    }
+                    Err(e) => assert_eq!(fresh_ok, Err(e)),
+                }
+                // The transpose factors solve Aᵀ: check against the
+                // explicitly transposed system.
+                let mut t = s.clone();
+                if n > 1 {
+                    t.a[1..].copy_from_slice(&s.c[..n - 1]);
+                    t.c[..n - 1].copy_from_slice(&s.a[1..]);
+                }
+                let mut fresh_t = vec![0.0; n];
+                let fresh_t_ok = solve_into(&t.a, &t.b, &t.c, &t.d, &mut fresh_t);
+                match GepFactors::factor_transpose(&s.a, &s.b, &s.c) {
+                    Ok(lu) => {
+                        fresh_t_ok.unwrap();
+                        let mut x = s.d.clone();
+                        lu.solve_in_place(&mut x);
+                        assert_eq!(bits(&x), bits(&fresh_t), "{family:?} n={n} (transpose)");
+                    }
+                    Err(e) => assert_eq!(fresh_t_ok, Err(e)),
+                }
+            }
+        }
+        // Singular input: the factorization reports solve_into's error.
+        let z = [0.0f64; 2];
+        let mut x = [0.0; 2];
+        assert_eq!(
+            GepFactors::factor(&z, &z, &z).unwrap_err(),
+            solve_into(&z, &z, &z, &z, &mut x).unwrap_err()
+        );
     }
 
     #[test]

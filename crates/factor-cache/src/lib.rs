@@ -7,10 +7,9 @@
 //!
 //! Each entry holds the Thomas elimination coefficients
 //! ([`cpu_solvers::ThomasFactors`] — `wk1` reciprocal pivots / `wk2`
-//! swept super-diagonal) and, for power-of-two sizes, the CR reduction
-//! tree ([`CrReductionTree`]). Both are pure functions of `(a, b, c)`;
-//! consuming one turns the `O(8n)` cold elimination+substitution into
-//! `O(5n)` pure substitution.
+//! swept super-diagonal), a pure function of `(a, b, c)`; consuming them
+//! turns the `O(8n)` cold elimination+substitution into `O(5n)` pure
+//! substitution (on the CPU sweep and the GPU warm kernel alike).
 //!
 //! Determinism contract: every operation's outcome (hit/miss, which
 //! entry is evicted) is a pure function of the *sequence* of calls —
@@ -25,10 +24,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cr_tree;
-
-pub use cr_tree::CrReductionTree;
-
 use cpu_solvers::ThomasFactors;
 use std::any::Any;
 use std::collections::HashMap;
@@ -40,26 +35,19 @@ use tridiag_core::{MatrixKey, NumericCertificate, Real, Result};
 /// bounded at ~3n floats per entry.
 pub const DEFAULT_CAPACITY: usize = 64;
 
-/// One cached factorization: the Thomas coefficients always, the CR
-/// reduction tree when `n` is a power of two.
+/// One cached factorization: the Thomas coefficients of one matrix.
 #[derive(Debug, Clone)]
 pub struct FactorEntry<T: Real> {
     /// Identity of the factored matrix.
     pub key: MatrixKey,
     /// Thomas `wk1`/`wk2`/sub-diagonal coefficients.
     pub thomas: Arc<ThomasFactors<T>>,
-    /// CR reduction tree (power-of-two sizes only).
-    pub cr_tree: Option<Arc<CrReductionTree<T>>>,
-    /// Numerical-safety certificate of the factored matrix, making the
-    /// warm tier certificate-aware: a warm flush may only skip its
-    /// residual verify when the entry's own certificate agrees.
-    pub certificate: NumericCertificate,
 }
 
 impl<T: Real> FactorEntry<T> {
-    /// Heap bytes of every artifact in the entry (eviction accounting).
+    /// Heap bytes of the entry's artifacts (eviction accounting).
     pub fn bytes(&self) -> usize {
-        self.thomas.bytes() + self.cr_tree.as_ref().map_or(0, |t| t.bytes())
+        self.thomas.bytes()
     }
 }
 
@@ -161,35 +149,13 @@ impl<T: Real> FactorCache<T> {
         b: &[T],
         c: &[T],
     ) -> Result<(FactorEntry<T>, Vec<u64>)> {
-        self.factor_and_insert_with_certificate(key, a, b, c, NumericCertificate::Uncertified)
-    }
-
-    /// [`Self::factor_and_insert`] carrying the matrix's
-    /// [`NumericCertificate`] into the cached entry, so later warm hits
-    /// know whether the verify-skip fast path is licensed.
-    ///
-    /// # Errors
-    /// Same as [`Self::factor_and_insert`].
-    pub fn factor_and_insert_with_certificate(
-        &self,
-        key: MatrixKey,
-        a: &[T],
-        b: &[T],
-        c: &[T],
-        certificate: NumericCertificate,
-    ) -> Result<(FactorEntry<T>, Vec<u64>)> {
         let thomas = ThomasFactors::factor(a, b, c)?;
         if !thomas.is_finite() {
             return Err(tridiag_core::TridiagError::InvalidConfig {
                 what: "non-finite factorization refused by the factor cache",
             });
         }
-        let cr_tree = if key.n.is_power_of_two() && key.n >= 2 {
-            CrReductionTree::build(a, b, c).ok().filter(|t| t.is_finite()).map(Arc::new)
-        } else {
-            None
-        };
-        let entry = FactorEntry { key, thomas: Arc::new(thomas), cr_tree, certificate };
+        let entry = FactorEntry { key, thomas: Arc::new(thomas) };
 
         let mut inner = self.lock();
         inner.access += 1;
@@ -214,6 +180,23 @@ impl<T: Real> FactorCache<T> {
         }
         inner.slots.insert(key, Slot { entry: entry.clone(), last_used: stamp });
         Ok((entry, evicted))
+    }
+
+    /// [`Self::factor_and_insert`] with the matrix's certificate, which
+    /// the cache ignores: whether a warm flush may skip its residual
+    /// verify is the certified catalog's per-flush decision alone.
+    ///
+    /// # Errors
+    /// Same as [`Self::factor_and_insert`].
+    pub fn factor_and_insert_with_certificate(
+        &self,
+        key: MatrixKey,
+        a: &[T],
+        b: &[T],
+        c: &[T],
+        _certificate: NumericCertificate,
+    ) -> Result<(FactorEntry<T>, Vec<u64>)> {
+        self.factor_and_insert(key, a, b, c)
     }
 
     /// Removes `key` after a failed warm verification. Returns whether an
@@ -336,7 +319,7 @@ mod tests {
         assert!(cache.lookup(&key).is_none());
         let (entry, evicted) = cache.factor_and_insert(key, &s.a, &s.b, &s.c).unwrap();
         assert!(evicted.is_empty());
-        assert!(entry.cr_tree.is_some(), "pow2 sizes get a CR tree");
+        assert_eq!(entry.bytes(), entry.thomas.bytes());
         let hit = cache.lookup(&key).expect("warm");
         assert_eq!(hit.key, key);
         let st = cache.stats();
@@ -422,29 +405,5 @@ mod tests {
             log
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn certificates_ride_along_with_entries() {
-        let cache: FactorCache<f64> = FactorCache::new(4);
-        let (key, s) = keyed(11, 32);
-        let cert = NumericCertificate::StrictlyDominant { margin: 1.5 };
-        let (entry, _) =
-            cache.factor_and_insert_with_certificate(key, &s.a, &s.b, &s.c, cert).unwrap();
-        assert_eq!(entry.certificate, cert);
-        assert_eq!(cache.lookup(&key).unwrap().certificate, cert);
-        // The plain insert defaults to Uncertified.
-        let (k2, s2) = keyed(12, 32);
-        let (plain, _) = cache.factor_and_insert(k2, &s2.a, &s2.b, &s2.c).unwrap();
-        assert_eq!(plain.certificate, NumericCertificate::Uncertified);
-    }
-
-    #[test]
-    fn non_pow2_sizes_cache_thomas_only() {
-        let cache: FactorCache<f64> = FactorCache::new(4);
-        let (key, s) = keyed(9, 48);
-        let (entry, _) = cache.factor_and_insert(key, &s.a, &s.b, &s.c).unwrap();
-        assert!(entry.cr_tree.is_none());
-        assert_eq!(entry.bytes(), entry.thomas.bytes());
     }
 }

@@ -19,8 +19,10 @@
 //! 2. a forward-error bound `κ₁·ε·n` is derived from the Hager
 //!    1-norm condition estimator (`cpu_solvers::condest`);
 //! 3. the result is a [`NumericCertificate`] memoized in a
-//!    [`CertifiedCatalog`], which the dispatch layer consults per flush:
-//!    certified traffic skips the per-answer residual verify, downgrading
+//!    [`CertifiedCatalog`], which the dispatch layer consults per flush.
+//!    The catalog analyzes a key on its second flush (a key that never
+//!    repeats is never analyzed); from then on certified traffic skips
+//!    the per-answer residual verify, downgrading
 //!    to deterministic 1-in-K *sampled* verification, while uncertified
 //!    traffic keeps the full verify + repair path.
 //!

@@ -51,10 +51,7 @@ use numeric_verify::{CertifiedCatalog, VerifyDecision};
 use std::sync::Arc;
 use std::time::Duration;
 use tridiag_core::residual::l2_residual;
-use tridiag_core::{
-    MatrixKey, NumericCertificate, Real, SolutionBatch, SystemBatch, TridiagError,
-    TridiagonalSystem,
-};
+use tridiag_core::{MatrixKey, Real, SolutionBatch, SystemBatch, TridiagError, TridiagonalSystem};
 
 /// Dispatch-time knobs (a copy of the relevant service config).
 #[derive(Debug, Clone)]
@@ -87,8 +84,9 @@ pub struct DispatchConfig {
     /// through to the cold path. `None` (the default) disables the warm
     /// tier entirely; every existing dispatch decision is unchanged.
     pub factor_cache: Option<Arc<SharedFactorCache>>,
-    /// Numerical-safety certificate catalog. When set, a keyed flush is
-    /// statically analyzed once per matrix identity; certified matrices
+    /// Numerical-safety certificate catalog. When set, a keyed matrix is
+    /// statically analyzed once per identity, on its second flush (its
+    /// first is fully verified); certified matrices
     /// downgrade the per-answer residual verify to deterministic 1-in-K
     /// *sampled* verification (skipped answers keep the NaN/Inf guard and
     /// report the certificate's a-priori forward-error bound), and a
@@ -200,15 +198,15 @@ pub fn serve_flush<T: Real>(
     debug_assert!(occupancy > 0, "empty flush");
 
     // Certification: a keyed flush consults the certificate catalog
-    // first. The matrix is statically analyzed exactly once per key;
-    // thereafter the catalog's deterministic 1-in-K policy decides how
-    // much verification this flush pays. Unkeyed flushes (and any flush
+    // first. The matrix is statically analyzed exactly once per key, on
+    // its second flush (the first is fully verified anyway); thereafter
+    // the catalog's deterministic 1-in-K policy decides how much
+    // verification this flush pays. Unkeyed flushes (and any flush
     // without a catalog) keep full verification.
     let matrix_key = (cfg.factor_cache.is_some() || cfg.certified.is_some())
         .then(|| shared_matrix_key(&requests))
         .flatten();
     let mut policy = VerifyPolicy::full(cfg.threshold_scale);
-    let mut certificate = NumericCertificate::Uncertified;
     if let (Some(catalog), Some(key)) = (&cfg.certified, matrix_key) {
         let obs = catalog.observe(key, &requests[0].system);
         if obs.newly_analyzed {
@@ -222,7 +220,6 @@ pub fn serve_flush<T: Real>(
                 cert: obs.certificate.name().to_string(),
             });
         }
-        certificate = obs.certificate;
         match obs.decision {
             VerifyDecision::Full => {}
             VerifyDecision::Sampled => {
@@ -288,15 +285,8 @@ pub fn serve_flush<T: Real>(
                     let sys = &requests[0].system;
                     // Unfactorable matrices (zero pivot, non-finite) are
                     // simply not cached; the cold path's verify/repair
-                    // machinery owns them. The entry carries the matrix's
-                    // certificate so warm hits stay certificate-aware.
-                    if let Ok((_, evicted)) = cache.factor_and_insert_with_certificate(
-                        key,
-                        &sys.a,
-                        &sys.b,
-                        &sys.c,
-                        certificate,
-                    ) {
+                    // machinery owns them.
+                    if let Ok((_, evicted)) = cache.factor_and_insert(key, &sys.a, &sys.b, &sys.c) {
                         metrics.on_factor_evictions(evicted.len() as u64);
                         for fp in evicted {
                             cfg.trace
@@ -356,8 +346,10 @@ pub fn serve_flush<T: Real>(
 
     // A corruption caught while serving a certified key revokes its
     // certificate: sampled verification did its job, and the key returns
-    // to full per-answer verification for the life of the process.
-    if outcome.corruptions > 0 && certificate.is_certified() {
+    // to full per-answer verification for the life of the process. On a
+    // key's first flush it makes the catalog forget the sighting instead,
+    // so no skip window opens right after a failed verify.
+    if outcome.corruptions > 0 {
         if let (Some(catalog), Some(key)) = (&cfg.certified, matrix_key) {
             if catalog.revoke(&key) {
                 metrics.on_cert_revoked();
@@ -763,7 +755,7 @@ fn shared_matrix_key<T: Real>(requests: &[SolveRequest<T>]) -> Option<MatrixKey>
 /// when the batch clears `min_gpu_batch` (falling back to the CPU sweep
 /// on a device fault), CPU sweep otherwise. Every solution passes the
 /// same residual acceptance test as the cold path — unless the key holds
-/// a live [`NumericCertificate`] and the catalog's sampled-verification
+/// a live `NumericCertificate` and the catalog's sampled-verification
 /// policy says `Skip`, in which case only the NaN/Inf guard runs and the
 /// reported residual is the certificate's a-priori forward-error bound.
 /// A failure — a corrupted launch, or a stale/poisoned factorization —
@@ -820,9 +812,8 @@ fn warm_execute<T: Real>(
             for (i, req) in requests.iter().enumerate() {
                 entry.thomas.solve_into(&req.system.d, solutions.system_mut(i));
             }
-            let skip = policy.skips() && entry.certificate.is_certified();
             let ms = if cfg.clock.is_sim() {
-                let discount = if skip {
+                let discount = if policy.skips() {
                     (n as u64).saturating_mul(count as u64).saturating_mul(SIM_VERIFY_NS_PER_ROW)
                 } else {
                     0
@@ -835,11 +826,11 @@ fn warm_execute<T: Real>(
         }
     };
 
-    // Same acceptance rule as the cold paths — unless a certificate
-    // licenses skipping the residual read; the NaN/Inf guard is never
-    // skipped. Failures additionally condemn the cached factorization.
-    let skip_verify = policy.skips() && entry.certificate.is_certified();
-    let eps = T::EPSILON.to_f64();
+    // Same acceptance rule as the cold paths — unless the flush's policy
+    // (the catalog's verdict on a live certificate) licenses skipping the
+    // residual read; the NaN/Inf guard is never skipped. Failures
+    // additionally condemn the cached factorization.
+    let skip_verify = policy.skips();
     let mut residuals = vec![0.0f64; count];
     let mut repaired_flags = vec![false; count];
     let mut repairs = 0usize;
@@ -847,14 +838,10 @@ fn warm_execute<T: Real>(
     for (i, req) in requests.iter().enumerate() {
         let sys = &req.system;
         let x = solutions.system_mut(i);
-        let finite = x.iter().all(|v| v.is_finite());
-        let accepted = if skip_verify {
-            finite
+        let (accepted, measured) = if skip_verify {
+            (x.iter().all(|v| v.is_finite()), None)
         } else {
-            let d_norm: f64 =
-                sys.d.iter().map(|&v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt().max(1e-30);
-            let threshold = policy.threshold_scale * d_norm * eps * n as f64;
-            finite && l2_residual(sys, x).map(|r| r <= threshold).unwrap_or(false)
+            check_residual(sys, x, policy.threshold_scale)
         };
         if !accepted {
             let _ = gep::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x);
@@ -862,10 +849,10 @@ fn warm_execute<T: Real>(
             repairs += 1;
             corruptions += 1;
         }
-        residuals[i] = if skip_verify && !repaired_flags[i] {
-            policy.forward_error_bound
-        } else {
-            l2_residual(sys, x).unwrap_or(f64::INFINITY)
+        residuals[i] = match measured {
+            _ if repaired_flags[i] => l2_residual(sys, x).unwrap_or(f64::INFINITY),
+            Some(r) => r,
+            None => policy.forward_error_bound,
         };
     }
     if corruptions > 0 && cache.invalidate(key) {
@@ -888,6 +875,22 @@ fn warm_execute<T: Real>(
     }
 }
 
+/// The per-answer acceptance test `‖Ax − d‖₂ ≤ scale · ‖d‖₂ · ε · n`:
+/// whether `x` passes, plus the residual it measured (`None` when `x` is
+/// not finite or the residual cannot be formed), so an accepted answer
+/// reports that residual without a second pass.
+fn check_residual<T: Real>(sys: &TridiagonalSystem<T>, x: &[T], scale: f64) -> (bool, Option<f64>) {
+    if !x.iter().all(|v| v.is_finite()) {
+        return (false, None);
+    }
+    let d_norm: f64 = sys.d.iter().map(|&v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt().max(1e-30);
+    let threshold = scale * d_norm * T::EPSILON.to_f64() * sys.n() as f64;
+    match l2_residual(sys, x) {
+        Ok(r) => (r <= threshold, Some(r)),
+        Err(_) => (false, None),
+    }
+}
+
 /// CPU path with the same acceptance rule as `solve_batch_robust`: accept
 /// when `||Ax − d||₂ ≤ scale · ||d||₂ · ε · n`, otherwise re-solve with
 /// partial pivoting. A `Skip` policy drops the residual read (NaN/Inf
@@ -903,7 +906,6 @@ fn cpu_execute<T: Real>(
     clock: &Clock,
 ) -> Outcome<T> {
     let n = batch.n();
-    let eps = T::EPSILON.to_f64();
     let skip_verify = policy.skips();
     let mut solutions = SolutionBatch::zeros_like(batch);
     let mut residuals = vec![0.0f64; systems.len()];
@@ -917,14 +919,12 @@ fn cpu_execute<T: Real>(
             CpuEngine::Thomas => thomas::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x).is_ok(),
             CpuEngine::Gep => gep::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x).is_ok(),
         };
-        let finite = x.iter().all(|v| v.is_finite());
-        let accepted = if skip_verify {
-            primary_ok && finite
+        let (accepted, measured) = if !primary_ok {
+            (false, None)
+        } else if skip_verify {
+            (x.iter().all(|v| v.is_finite()), None)
         } else {
-            let d_norm: f64 =
-                sys.d.iter().map(|&v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt().max(1e-30);
-            let threshold = policy.threshold_scale * d_norm * eps * n as f64;
-            primary_ok && finite && l2_residual(sys, x).map(|r| r <= threshold).unwrap_or(false)
+            check_residual(sys, x, policy.threshold_scale)
         };
         if !accepted && cpu != CpuEngine::Gep {
             // Same repair path as the GPU robust wrapper.
@@ -932,10 +932,10 @@ fn cpu_execute<T: Real>(
             repaired_flags[i] = true;
             repairs += 1;
         }
-        residuals[i] = if skip_verify && accepted {
-            policy.forward_error_bound
-        } else {
-            l2_residual(sys, x).unwrap_or(f64::INFINITY)
+        residuals[i] = match measured {
+            Some(r) if !repaired_flags[i] => r,
+            _ if skip_verify && accepted => policy.forward_error_bound,
+            _ => l2_residual(sys, x).unwrap_or(f64::INFINITY),
         };
     }
 
@@ -1483,8 +1483,9 @@ mod tests {
         let mut generator = Generator::new(71);
         let system: TridiagonalSystem<f32> = generator.system(Workload::DiagonallyDominant, 128);
 
-        // Five flushes of the same certified matrix: verify pattern is
-        // Sampled, Skip, Skip, Skip, Sampled.
+        // Five flushes of the same matrix: verify pattern is Full (first
+        // sight, the schedule's first sample; the certificate is issued on
+        // the second flush), then Skip, Skip, Skip, Sampled.
         for round in 0..5 {
             let (flush, tickets) = keyed_flush(&system, 8, round);
             serve_flush(
@@ -1509,7 +1510,7 @@ mod tests {
         let snap = metrics.snapshot(0, 0, 0);
         assert_eq!(snap.condest_calls, 1, "analysis is once-per-key");
         assert_eq!(snap.certs_issued, 1);
-        assert_eq!(snap.cert_sampled_verifies, 2);
+        assert_eq!(snap.cert_sampled_verifies, 1);
         assert_eq!(snap.cert_skipped_verifies, 3);
         assert_eq!(snap.certs_revoked, 0);
         assert!(snap.degradation.is_quiet(), "certification is not degradation");
@@ -1588,6 +1589,7 @@ mod tests {
         let key = tridiag_core::MatrixKey::of_system(&system);
 
         // Flush 1: factor miss, served cold on the (fault-immune) CPU.
+        // First sight of the key: no analysis yet, so no certificate.
         let (flush, _t1) = keyed_flush(&system, 8, 1);
         serve_flush(
             DeviceCtx::solo(&launcher),
@@ -1597,11 +1599,13 @@ mod tests {
             &cert_cfg,
             flush,
         );
-        assert!(catalog.certificate(&key).unwrap().is_certified());
+        assert!(catalog.certificate(&key).is_none(), "analysis waits for the second flush");
 
-        // Flush 2: warm GPU back-substitution, bit-flipped. The sampled
-        // verify catches it, GEP repairs every answer, and the
-        // certificate dies with the poisoned cache entry.
+        // Flush 2: the key repeats, so it is analyzed and certified, and
+        // with K = 1 every certified flush is sampled. It is served by the warm
+        // GPU back-substitution, bit-flipped: the sampled verify catches
+        // it, GEP repairs every answer, and the certificate dies with the
+        // poisoned cache entry.
         let (flush, tickets) = keyed_flush(&system, 8, 2);
         serve_flush(
             DeviceCtx::solo(&launcher),
@@ -1616,6 +1620,7 @@ mod tests {
             assert!(resp.residual < 1e-2, "repaired answers stay right: {}", resp.residual);
         }
         let snap = metrics.snapshot(0, 0, 0);
+        assert_eq!(snap.certs_issued, 1);
         assert_eq!(snap.certs_revoked, 1);
         assert!(snap.degradation.corruptions_caught > 0);
         assert_eq!(
@@ -1639,6 +1644,146 @@ mod tests {
         let snap = metrics.snapshot(0, 0, 0);
         assert_eq!(snap.cert_sampled_verifies, sampled_before);
         assert_eq!(snap.cert_skipped_verifies, 0, "K = 1 never skips");
+    }
+
+    #[test]
+    fn one_shot_keys_are_fully_verified_and_never_analyzed() {
+        let launcher = Launcher::gtx280();
+        let plans = PlanCache::new();
+        let metrics = ServiceMetrics::new();
+        let catalog = Arc::new(CertifiedCatalog::with_sample_period(4));
+        let cert_cfg = DispatchConfig {
+            certified: Some(Arc::clone(&catalog)),
+            factor_cache: Some(Arc::new(SharedFactorCache::new(4))),
+            pin_engine: Some(Engine::Cpu(CpuEngine::Thomas)),
+            ..cfg()
+        };
+        let mut generator = Generator::new(73);
+        for round in 0..12 {
+            let system: TridiagonalSystem<f32> = generator.system(Workload::DiagonallyDominant, 64);
+            let (flush, tickets) = keyed_flush(&system, 4, round);
+            serve_flush(
+                DeviceCtx::solo(&launcher),
+                &plans,
+                &CircuitBreakers::default(),
+                &metrics,
+                &cert_cfg,
+                flush,
+            );
+            for ticket in tickets {
+                assert!(ticket.try_take().unwrap().residual < 1e-2);
+            }
+        }
+        let snap = metrics.snapshot(0, 0, 0);
+        assert_eq!(snap.cert_sampled_verifies + snap.cert_skipped_verifies, 0, "never sampled");
+        assert_eq!((snap.condest_calls, snap.certs_issued), (0, 0), "never analyzed");
+        assert!(catalog.is_empty());
+    }
+
+    #[test]
+    fn corruption_on_a_first_flush_is_repaired() {
+        // Every GPU launch flips bits. A key's first flush carries no
+        // certificate, so it is fully verified and every answer the flip
+        // corrupted is caught and GEP-repaired.
+        let (launcher, _plan) = faulty_launcher(FaultConfig {
+            seed: 0xF125,
+            bit_flip_rate: 1.0,
+            flips_per_event: 4,
+            ..FaultConfig::default()
+        });
+        let plans = PlanCache::new();
+        let metrics = ServiceMetrics::new();
+        let catalog = Arc::new(CertifiedCatalog::with_sample_period(4));
+        let cert_cfg = DispatchConfig {
+            certified: Some(Arc::clone(&catalog)),
+            pin_engine: Some(Engine::Gpu(GpuAlgorithm::CrPcr { m: 32 })),
+            sanitize_first_flush: false,
+            ..cfg()
+        };
+        let system: TridiagonalSystem<f32> =
+            Generator::new(74).system(Workload::DiagonallyDominant, 64);
+        let (flush, tickets) = keyed_flush(&system, 8, 1);
+        serve_flush(
+            DeviceCtx::solo(&launcher),
+            &plans,
+            &CircuitBreakers::default(),
+            &metrics,
+            &cert_cfg,
+            flush,
+        );
+        for ticket in tickets {
+            let resp = ticket.try_take().unwrap();
+            assert!(
+                resp.residual < 1e-2,
+                "corrupted first-flush answer escaped: {}",
+                resp.residual
+            );
+        }
+        let snap = metrics.snapshot(0, 0, 0);
+        assert!(snap.degradation.corruptions_caught > 0, "the flip was never caught");
+        assert!(snap.repaired > 0, "caught corruption never repaired");
+        assert_eq!(snap.cert_skipped_verifies + snap.cert_sampled_verifies, 0);
+        assert!(catalog.certificate(&tridiag_core::MatrixKey::of_system(&system)).is_none());
+        assert_eq!(catalog.stats().seen_once, 0, "a failed first flush forgets the sighting");
+        assert_eq!(snap.certs_revoked, 0, "nothing was certified, so nothing is revoked");
+    }
+
+    #[test]
+    fn no_skip_precedes_the_key_being_analyzed() {
+        use crate::trace::{TraceHandle, TraceSink};
+        use std::sync::Mutex;
+        struct Collect(Mutex<Vec<TraceEvent>>);
+        impl TraceSink for Collect {
+            fn record(&self, event: TraceEvent) {
+                self.0.lock().unwrap().push(event);
+            }
+        }
+        let sink = Arc::new(Collect(Mutex::new(Vec::new())));
+        let launcher = Launcher::gtx280();
+        let plans = PlanCache::new();
+        let metrics = ServiceMetrics::new();
+        let cert_cfg = DispatchConfig {
+            certified: Some(Arc::new(CertifiedCatalog::with_sample_period(2))),
+            factor_cache: Some(Arc::new(SharedFactorCache::new(4))),
+            pin_engine: Some(Engine::Cpu(CpuEngine::Thomas)),
+            trace: TraceHandle::to(sink.clone()),
+            ..cfg()
+        };
+        // Three repeating matrices interleaved with one-shot ones, over
+        // both the cold and the warm tier.
+        let mut generator = Generator::new(75);
+        let pool: Vec<TridiagonalSystem<f32>> =
+            (0..3).map(|_| generator.system(Workload::DiagonallyDominant, 64)).collect();
+        for round in 0..24u64 {
+            let system = if round % 4 == 3 {
+                generator.system(Workload::DiagonallyDominant, 64)
+            } else {
+                pool[round as usize % 3].clone()
+            };
+            let (flush, _tickets) = keyed_flush(&system, 4, round);
+            serve_flush(
+                DeviceCtx::solo(&launcher),
+                &plans,
+                &CircuitBreakers::default(),
+                &metrics,
+                &cert_cfg,
+                flush,
+            );
+        }
+        let mut issued = std::collections::HashSet::new();
+        let mut skips = 0;
+        for event in sink.0.lock().unwrap().iter() {
+            match event {
+                TraceEvent::CertIssued { key, .. } => assert!(issued.insert(*key), "issued twice"),
+                TraceEvent::CertSkipVerify { key, .. } => {
+                    assert!(issued.contains(key), "a verify was skipped before analysis");
+                    skips += 1;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(issued.len(), 3, "exactly the repeating matrices are analyzed");
+        assert!(skips > 0, "the stream never reached a skip");
     }
 
     // ── resilience: retries, breakers, graceful degradation ──────────

@@ -89,7 +89,7 @@ pub struct ServiceConfig {
     /// Certified catalog for verify-skipping dispatch. When set, every
     /// admitted system is identity-hashed (like
     /// [`factor_cache`](Self::factor_cache)) and each matrix key is
-    /// statically analyzed exactly once; keys earning a
+    /// statically analyzed exactly once, on its second flush; keys earning a
     /// [`numeric_verify::NumericCertificate`] downgrade the per-answer
     /// residual verify to deterministic 1-in-K sampling (the NaN/Inf
     /// guard always runs), and a corruption caught on a sampled flush

@@ -250,9 +250,10 @@ pub enum TraceEvent {
         /// Fingerprint of the evicted entry's key.
         key: u64,
     },
-    /// A matrix key was analyzed (exactly once) and the verdict recorded
-    /// in the certified catalog — emitted for certified *and* uncertified
-    /// outcomes, so replay shows every analysis.
+    /// A matrix key was analyzed (exactly once, on its second flush) and
+    /// the verdict recorded in the certified catalog — emitted for
+    /// certified *and* uncertified outcomes, so replay shows every
+    /// analysis.
     CertIssued {
         /// Decision tick.
         at: Tick,

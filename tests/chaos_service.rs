@@ -616,18 +616,21 @@ fn certified_bit_flip_is_caught_within_the_sampling_window_and_revokes() {
         }
     };
 
-    // Flush 1: cold miss — the analyzer certifies the dominant matrix and
-    // the first flush is always sampled (full residual check).
+    // Flush 1: cold miss and the key's first sight — fully verified, not
+    // yet analyzed (a certificate only pays off once the key repeats). It
+    // is the first sample of the key's 1-in-K schedule.
     serve(1);
     let snap = metrics.snapshot(0, plans.tunes(), plans.hits());
-    assert_eq!(snap.certs_issued, 1, "dominant matrix must certify: {snap:?}");
-    assert_eq!(snap.cert_sampled_verifies, 1, "first certified flush must be sampled");
+    assert_eq!(snap.certs_issued, 0, "analysis waits for the key's second flush: {snap:?}");
+    assert_eq!(snap.cert_sampled_verifies + snap.cert_skipped_verifies, 0, "first flush is Full");
     assert_eq!(snap.certs_revoked, 0, "fault-free cold flush must not revoke");
     assert_eq!(cache.stats().entries, 1);
 
     // Warm flushes now ride the skip window with every GPU launch
-    // poisoned. Count how many it takes until the corruption is caught
-    // and the certificate revoked — the contract caps that at K.
+    // poisoned: the first of them (the key's second flush) certifies the
+    // dominant matrix and already skips. Count how many it takes until the
+    // corruption is caught and the certificate revoked — the contract
+    // caps that at K.
     let mut warm_flushes = 0usize;
     while metrics.snapshot(0, plans.tunes(), plans.hits()).certs_revoked == 0 {
         warm_flushes += 1;
@@ -639,6 +642,8 @@ fn certified_bit_flip_is_caught_within_the_sampling_window_and_revokes() {
     }
     let snap = metrics.snapshot(0, plans.tunes(), plans.hits());
     assert!(plan.stats().bit_flips >= 1, "flip rate 1.0 injected nothing: {:?}", plan.stats());
+    assert_eq!(snap.certs_issued, 1, "dominant matrix must certify: {snap:?}");
+    assert!(snap.cert_skipped_verifies >= 1, "the poisoned flushes never rode a skip: {snap:?}");
     assert_eq!(snap.certs_revoked, 1, "exactly one revocation for the poisoned key");
     assert!(
         snap.degradation.corruptions_caught >= 1,

@@ -5,7 +5,7 @@
 //! unify two different matrices, however a structured one is perturbed.
 
 use cpu_solvers::ThomasFactors;
-use factor_cache::{CrReductionTree, FactorCache};
+use factor_cache::FactorCache;
 use gpu_sim::Launcher;
 use proptest::prelude::*;
 use tridiag_core::residual::l2_residual;
@@ -25,9 +25,8 @@ fn dominant_system(n: usize) -> impl Strategy<Value = TridiagonalSystem<f64>> {
     })
 }
 
-/// The sizes the issue pins: the warm ≡ fresh equivalence must hold
-/// across n ∈ {8 .. 4096}, power-of-two so the CR tree engine is
-/// exercised too.
+/// The warm ≡ fresh equivalence must hold across n ∈ {8 .. 4096}
+/// (powers of two, the sizes the GPU warm kernel serves).
 fn issue_size() -> impl Strategy<Value = usize> {
     (3u32..=12).prop_map(|e| 1usize << e)
 }
@@ -60,15 +59,7 @@ fn assert_warm_engines_match_fresh<T: Real>(sys: &TridiagonalSystem<T>) -> Resul
         return Err(format!("thomas-warm residual {r} >= {bound} at n={n}"));
     }
 
-    // Engine 2: cached CR reduction tree.
-    let tree = CrReductionTree::build(&sys.a, &sys.b, &sys.c).map_err(|e| e.to_string())?;
-    let x_tree = tree.solve(&sys.d);
-    let r = l2_residual(sys, &x_tree).map_err(|e| e.to_string())?;
-    if r >= bound {
-        return Err(format!("cr-tree-warm residual {r} >= {bound} at n={n}"));
-    }
-
-    // Engine 3: the GPU warm back-substitution kernel, multi-RHS.
+    // Engine 2: the GPU warm back-substitution kernel, multi-RHS.
     let launcher = Launcher::gtx280();
     let rhs: Vec<&[T]> = vec![&sys.d, &sys.d];
     let report =
