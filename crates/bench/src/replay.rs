@@ -2,19 +2,22 @@
 //!
 //! ```text
 //! cargo run --release -p bench -- replay            # capture + replay, 1000-request chaos cell
-//! cargo run --release -p bench -- replay --quick    # CI-sized (300 requests)
+//! cargo run --release -p bench -- replay --quick    # the same cell (it takes ~0.2 s)
 //! cargo run --release -p bench -- replay t.trace    # verify an existing trace file
 //! ```
 //!
 //! Without an operand the gate runs the acceptance loop: capture the
 //! 5%-fault chaos scenario **twice**, demand the two serialized traces be
-//! byte-identical, round-trip one through `target/repro/chaos.trace`, and
-//! replay-verify the loaded copy event-by-event. With a trace operand it
-//! re-runs that file's embedded scenario and verifies against the recorded
-//! stream — exit 1 on the first divergence.
+//! byte-identical, demand the capture hold at least one device fault and
+//! one repaired flush (a replay of fault-free traffic proves little),
+//! round-trip it through `target/repro/chaos.trace`, and replay-verify the
+//! loaded copy event-by-event. With a trace operand it re-runs that
+//! file's embedded scenario and verifies against the recorded stream —
+//! exit 1 on the first divergence.
 
 use crate::cli::{self, EXIT_GATE_FAIL, EXIT_PASS};
 use crate::report::Table;
+use solver_service::TraceEvent;
 use trace_lab::{replay, RunStats, Scenario, TraceFile};
 
 fn json_row(trace: &TraceFile, stats: &RunStats, identical: bool) -> String {
@@ -61,17 +64,38 @@ fn summary_table(trace: &TraceFile, stats: &RunStats, verdict: &str) -> Table {
     table
 }
 
+/// A capture worth replaying holds at least one device fault and one
+/// repaired flush; otherwise the gate would pin only the happy path.
+fn exercises_recovery(trace: &TraceFile) -> Result<(), String> {
+    let faults = trace.events.iter().filter(|e| matches!(e, TraceEvent::Fault { .. })).count();
+    let repaired_flushes = trace
+        .events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Served { repairs, .. } if *repairs > 0))
+        .count();
+    if faults == 0 || repaired_flushes == 0 {
+        return Err(format!(
+            "the capture holds {faults} fault(s) and {repaired_flushes} repaired flush(es); \
+             the gate needs at least one of each to replay the recovery paths"
+        ));
+    }
+    Ok(())
+}
+
 /// The no-operand acceptance loop. Returns the exit code.
-fn self_gate(quick: bool, json: bool) -> i32 {
-    let requests = if quick { 300 } else { 1000 };
-    let scenario = Scenario::chaos(requests);
-    eprintln!("[replay] capturing '{}' x2 ({requests} requests) ...", scenario.name);
+fn self_gate(json: bool) -> i32 {
+    let scenario = Scenario::chaos(1000);
+    eprintln!("[replay] capturing '{}' x2 ({} requests) ...", scenario.name, scenario.requests);
     let (trace_a, stats_a) = replay::capture(&scenario);
     let (trace_b, _) = replay::capture(&scenario);
 
     let bytes_a = trace_a.to_bytes();
     if bytes_a != trace_b.to_bytes() {
         eprintln!("[replay] FAIL: two captures of the same scenario serialized differently");
+        return EXIT_GATE_FAIL;
+    }
+    if let Err(why) = exercises_recovery(&trace_a) {
+        eprintln!("[replay] FAIL: {why}");
         return EXIT_GATE_FAIL;
     }
 
@@ -152,7 +176,7 @@ pub fn run(args: &[String]) -> i32 {
     };
     match parsed.operands.first() {
         Some(path) => verify_file(path, parsed.json),
-        None => self_gate(parsed.quick, parsed.json),
+        None => self_gate(parsed.json),
     }
 }
 
@@ -163,6 +187,16 @@ mod tests {
     #[test]
     fn the_quick_self_gate_passes() {
         assert_eq!(run(&["--quick".to_string()]), EXIT_PASS);
+    }
+
+    #[test]
+    fn the_gate_refuses_a_capture_without_faults_or_repairs() {
+        // chaos(300) is 417 events of admits, flushes, plans and serves:
+        // nothing in it exercises a retry or a repair.
+        let (short, _) = replay::capture(&Scenario::chaos(300));
+        assert!(exercises_recovery(&short).is_err());
+        let (gated, _) = replay::capture(&Scenario::chaos(1000));
+        assert_eq!(exercises_recovery(&gated), Ok(()));
     }
 
     #[test]

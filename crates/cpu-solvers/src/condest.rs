@@ -6,8 +6,8 @@
 //! iterations.
 //!
 //! A cheap condition estimate tells a user *why* a pivoting-free GPU solve
-//! went bad (paper §5.4's accuracy discussion) and lets the robust wrapper
-//! scale its acceptance thresholds.
+//! went bad (paper §5.4's accuracy discussion) and lets the acceptance rule
+//! (`gpu_solvers::VerifyPolicy::condition_scaled`) scale its thresholds.
 
 use crate::gep::GepFactors;
 use tridiag_core::{Real, Result, TridiagonalSystem};

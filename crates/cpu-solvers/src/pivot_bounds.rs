@@ -4,7 +4,7 @@
 //! lemma alone: it *machine-checks* it by running the relevant pivot
 //! recurrence in `f64` and confirming every pivot clears a derived lower
 //! bound. These helpers are that check, shared between the analyzer, its
-//! adversarial property tests, and the robust wrapper's documentation.
+//! adversarial property tests, and the acceptance rule's documentation.
 //!
 //! **Lemma (strict dominance ⇒ pivot floor).** If `|b_i| > |a_i| + |c_i|`
 //! for every row with worst-row gap `m = min_i (|b_i| − |a_i| − |c_i|)`,

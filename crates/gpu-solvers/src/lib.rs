@@ -63,7 +63,7 @@ pub use pcr_thomas::PcrThomasKernel;
 pub use periodic::{solve_periodic_batch, PeriodicSolveReport};
 pub use rd::{RdKernel, RdMode};
 pub use refine::{solve_batch_refined, RefinedSolveReport};
-pub use robust::{solve_batch_robust, Repair, RepairReason, RobustOptions, RobustSolveReport};
+pub use robust::{accept_or_repair, Acceptance, Producer, VerifyPolicy};
 pub use solver::{solve_batch, GpuAlgorithm, GpuSolveReport, ParseGpuAlgorithmError};
 pub use verify::{
     block_instance, fixture_instance, solver_instance, verify_family, VerifyInstance, FIXTURE_NAMES,

@@ -1,5 +1,17 @@
-//! Dispatcher: executes a flushed batch on the planned engine, verifies
-//! every solution, repairs failures, and fulfils tickets.
+//! Dispatcher: runs a flushed batch on an engine, accepts or repairs every
+//! answer, and fulfils tickets.
+//!
+//! [`serve_flush`] is four steps:
+//!
+//! 1. **Resolve** — the certificate catalog sets the flush's
+//!    [`VerifyPolicy`], a keyed flush looks up the factor cache, and a
+//!    cold flush gets its engine, fallback ladder and sanitize decision.
+//! 2. **Run** — the engine alone, returning raw answers: the warm
+//!    back-substitution, CPU Thomas/GEP, or the GPU retry ladder.
+//! 3. **Accept or repair** — [`accept_or_repair`], the one acceptance
+//!    rule, applied once to every answer.
+//! 4. **Account** — warm-entry invalidation, certificate revocation,
+//!    metrics, trace, and ticket fulfilment.
 //!
 //! Routing policy, in order:
 //!
@@ -9,12 +21,15 @@
 //!    sequential Thomas solver.
 //! 2. **Otherwise the [`PlanCache`] decides** — autotuned once per size
 //!    class, O(1) afterwards.
-//! 3. **Every answer is verified.** GPU batches run through
-//!    [`solve_batch_robust`] (the repo's verify-and-repair wrapper); CPU
-//!    batches get the same residual acceptance test with per-system GEP
-//!    repair. The service never returns an unverified solution — the
-//!    paper's solvers are pivoting-free and may fail on general matrices,
-//!    so verification is what makes this a *service* rather than a kernel.
+//! 3. **Every answer is accepted or repaired.** Whatever engine ran,
+//!    [`accept_or_repair`] applies the NaN/Inf guard, the residual test
+//!    `‖Ax − d‖₂ ≤ scale·‖d‖₂·ε·n` (unless a certificate licenses skipping
+//!    it), and a per-system GEP re-solve of each failure. The service
+//!    never returns an unverified solution — the paper's solvers are
+//!    pivoting-free and may fail on general matrices, so verification is
+//!    what makes this a *service* rather than a kernel. A system GEP
+//!    cannot solve either is answered at residual `+∞`; its siblings keep
+//!    their engine's answers.
 //! 4. **The first GPU flush of each size class is sanitized.** With
 //!    [`DispatchConfig::sanitize_first_flush`] set (the default), the
 //!    first flush dispatched to a GPU engine for each plan-cache key runs
@@ -31,8 +46,11 @@
 //!    [`DispatchConfig::max_total_attempts`] demotes the flush to the CPU
 //!    GEP safety net. An engine's per-engine **circuit breaker**
 //!    (see [`CircuitBreakers`]) short-circuits this ladder while the
-//!    engine is known-bad, re-probing it after a cooldown. Every retry,
-//!    fault, and degradation is counted into the metrics — degradation is
+//!    engine is known-bad, re-probing it after a cooldown. A half-open
+//!    probe always reports its outcome: a launch that returns answers
+//!    closes the breaker whatever acceptance finds in them, and a
+//!    launch-configuration error re-opens it. Every retry, fault, and
+//!    degradation is counted into the metrics — degradation is
 //!    observable, never silent.
 
 use crate::batcher::FlushedBatch;
@@ -45,12 +63,11 @@ use cpu_solvers::{gep, thomas};
 use device_pool::DevicePool;
 use factor_cache::{FactorCache, FactorEntry, SharedFactorCache};
 use gpu_sim::{tick_duration, Clock, Launcher};
-use gpu_solvers::{solve_batch_robust, GpuAlgorithm, RobustOptions};
+use gpu_solvers::{accept_or_repair, solve_batch, GpuAlgorithm, Producer, VerifyPolicy};
 use kernel_verify::VerifiedCatalog;
 use numeric_verify::{CertifiedCatalog, VerifyDecision};
 use std::sync::Arc;
-use std::time::Duration;
-use tridiag_core::residual::l2_residual;
+use std::time::{Duration, Instant};
 use tridiag_core::{MatrixKey, Real, SolutionBatch, SystemBatch, TridiagError, TridiagonalSystem};
 
 /// Dispatch-time knobs (a copy of the relevant service config).
@@ -58,7 +75,7 @@ use tridiag_core::{MatrixKey, Real, SolutionBatch, SystemBatch, TridiagError, Tr
 pub struct DispatchConfig {
     /// Flushes smaller than this run on the CPU regardless of plan.
     pub min_gpu_batch: usize,
-    /// Residual acceptance scale (see [`RobustOptions::threshold_scale`]).
+    /// Residual acceptance scale (see [`VerifyPolicy::threshold_scale`]).
     pub threshold_scale: f64,
     /// Probe batch size used when a plan-cache miss triggers autotune.
     pub probe_count: usize,
@@ -180,8 +197,8 @@ impl<'a> DeviceCtx<'a> {
     }
 }
 
-/// Serves one flushed batch end to end: plan → execute → verify/repair →
-/// fulfil tickets → record metrics. Infallible by design: any engine
+/// Serves one flushed batch end to end: resolve → run → accept or repair
+/// → account (see the module docs). Infallible by design: any engine
 /// error degrades to the per-system GEP path rather than dropping
 /// requests.
 pub fn serve_flush<T: Real>(
@@ -192,164 +209,68 @@ pub fn serve_flush<T: Real>(
     cfg: &DispatchConfig,
     flush: FlushedBatch<T>,
 ) {
-    let launcher = device.launcher;
     let FlushedBatch { n, requests, reason } = flush;
     let occupancy = requests.len();
     debug_assert!(occupancy > 0, "empty flush");
+    // Every step reads the systems where the requests hold them.
+    let systems: Vec<&TridiagonalSystem<T>> = requests.iter().map(|r| &r.system).collect();
 
-    // Certification: a keyed flush consults the certificate catalog
-    // first. The matrix is statically analyzed exactly once per key, on
-    // its second flush (the first is fully verified anyway); thereafter
-    // the catalog's deterministic 1-in-K policy decides how much
-    // verification this flush pays. Unkeyed flushes (and any flush
-    // without a catalog) keep full verification.
+    // 1. Resolve. A keyed flush consults the certificate catalog, then the
+    // factorization cache; a hit skips planning *and* elimination.
     let matrix_key = (cfg.factor_cache.is_some() || cfg.certified.is_some())
         .then(|| shared_matrix_key(&requests))
         .flatten();
-    let mut policy = VerifyPolicy::full(cfg.threshold_scale);
-    if let (Some(catalog), Some(key)) = (&cfg.certified, matrix_key) {
-        let obs = catalog.observe(key, &requests[0].system);
-        if obs.newly_analyzed {
-            metrics.on_condest_calls(obs.condest_calls);
-            if obs.certificate.is_certified() {
-                metrics.on_cert_issued();
-            }
-            cfg.trace.emit(|| TraceEvent::CertIssued {
-                at: cfg.clock.now(),
-                key: key.fingerprint(),
-                cert: obs.certificate.name().to_string(),
-            });
-        }
-        match obs.decision {
-            VerifyDecision::Full => {}
-            VerifyDecision::Sampled => {
-                metrics.on_cert_sampled_verify();
-                policy = VerifyPolicy {
-                    decision: VerifyDecision::Sampled,
-                    // Condition-informed acceptance (the condest wiring):
-                    // a certified-but-worse-conditioned matrix widens its
-                    // sampled-verify threshold instead of tripping false
-                    // corruption alarms.
-                    threshold_scale: RobustOptions::scaled_by_condition(
-                        cfg.threshold_scale,
-                        obs.kappa1,
-                    )
-                    .threshold_scale,
-                    forward_error_bound: obs.forward_error_bound,
-                };
-            }
-            VerifyDecision::Skip => {
-                metrics.on_cert_skipped_verify();
-                cfg.trace.emit(|| TraceEvent::CertSkipVerify {
-                    at: cfg.clock.now(),
-                    key: key.fingerprint(),
-                    n: n as u64,
-                });
-                policy = VerifyPolicy {
-                    decision: VerifyDecision::Skip,
-                    threshold_scale: cfg.threshold_scale,
-                    forward_error_bound: obs.forward_error_bound,
-                };
-            }
-        }
-    }
-
-    // Warm tier: a keyed flush (every member shares one matrix identity)
-    // checks the factorization cache first. A hit skips planning *and*
-    // elimination — the batch is served by back-substitution alone; a
-    // miss factors the matrix for next time and falls through cold.
-    let mut warm_outcome: Option<Outcome<T>> = None;
-    if let Some(shared) = &cfg.factor_cache {
-        if let Some(key) = matrix_key {
-            let cache = shared.of::<T>();
-            match cache.lookup(&key) {
-                Some(entry) => {
-                    cfg.trace.emit(|| TraceEvent::FactorHit {
-                        at: cfg.clock.now(),
-                        key: key.fingerprint(),
-                        n: n as u64,
-                    });
-                    metrics.on_factor_hit();
-                    warm_outcome = Some(warm_execute(
-                        &device, &cache, &key, &entry, &requests, cfg, metrics, &policy,
-                    ));
-                    metrics.on_warm_flush();
-                }
-                None => {
-                    cfg.trace.emit(|| TraceEvent::FactorMiss {
-                        at: cfg.clock.now(),
-                        key: key.fingerprint(),
-                        n: n as u64,
-                    });
-                    metrics.on_factor_miss();
-                    let sys = &requests[0].system;
-                    // Unfactorable matrices (zero pivot, non-finite) are
-                    // simply not cached; the cold path's verify/repair
-                    // machinery owns them.
-                    if let Ok((_, evicted)) = cache.factor_and_insert(key, &sys.a, &sys.b, &sys.c) {
-                        metrics.on_factor_evictions(evicted.len() as u64);
-                        for fp in evicted {
-                            cfg.trace
-                                .emit(|| TraceEvent::FactorEvict { at: cfg.clock.now(), key: fp });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let outcome = if let Some(outcome) = warm_outcome {
-        outcome
-    } else {
-        // Pinned engine wins outright; otherwise sub-critical flushes skip
-        // planning entirely (they go to the CPU, and tuning a size class
-        // the GPU may never see would waste the tournament).
-        let engine = match cfg.pin_engine {
-            Some(engine) => engine,
-            None if occupancy < cfg.min_gpu_batch => Engine::Cpu(CpuEngine::Thomas),
-            None => plans.plan_for_on::<T>(launcher, n, cfg.probe_count, &cfg.clock).engine,
-        };
-        cfg.trace.emit(|| TraceEvent::Plan {
-            at: cfg.clock.now(),
-            n: n as u64,
-            occupancy: occupancy as u64,
-            engine: engine.to_string(),
-        });
-
-        // Retry ladder: when the planned engine keeps faulting, the
-        // dispatcher walks the autotune ranking to the next-best GPU
-        // candidate. A pinned engine has no ladder — the pin is an
-        // explicit override.
-        let fallbacks: Vec<Engine> = match (cfg.pin_engine, engine) {
-            (None, Engine::Gpu(_)) => {
-                plans.ranking_for_on::<T>(launcher, n, cfg.probe_count, &cfg.clock)
-            }
-            _ => Vec::new(),
-        };
-
-        // First GPU flush of this size class? One decision point: claim
-        // the one-time token and either run the dynamic sanitizer or let
-        // a static proof stand in for it.
-        let sanitize = match sanitize_decision::<T>(cfg, plans, launcher, engine, n) {
-            SanitizeDecision::Dynamic => true,
-            SanitizeDecision::ProofSkipped => {
-                metrics.on_sanitize_skipped_by_proof();
-                false
-            }
-            SanitizeDecision::NotApplicable => false,
-        };
-
-        let systems: Vec<TridiagonalSystem<T>> =
-            requests.iter().map(|r| r.system.clone()).collect();
-        execute(&device, engine, &fallbacks, breakers, &systems, cfg, sanitize, &policy)
+    let policy = match (&cfg.certified, matrix_key) {
+        (Some(catalog), Some(key)) => certified_policy(catalog, key, systems[0], cfg, metrics),
+        _ => VerifyPolicy::full(cfg.threshold_scale),
+    };
+    let warm = match (&cfg.factor_cache, matrix_key) {
+        (Some(shared), Some(key)) => warm_lookup(&shared.of::<T>(), key, systems[0], cfg, metrics),
+        _ => None,
+    };
+    let route = match warm {
+        Some(entry) => Route::Warm(entry),
+        None => route_cold::<T>(device.launcher, plans, metrics, cfg, n, occupancy),
     };
 
-    // A corruption caught while serving a certified key revokes its
-    // certificate: sampled verification did its job, and the key returns
-    // to full per-answer verification for the life of the process. On a
-    // key's first flush it makes the catalog forget the sighting instead,
-    // so no skip window opens right after a failed verify.
-    if outcome.corruptions > 0 {
+    // 2. Run the engine: raw answers, nothing accepted yet.
+    let mut run = match &route {
+        Route::Warm(entry) => run_warm(&device, entry, &systems, cfg, policy),
+        Route::Cpu(cpu) => run_cpu(&systems, *cpu, policy, &cfg.clock),
+        Route::Gpu { first, fallbacks, sanitize } => {
+            run_gpu(&device, *first, fallbacks, breakers, &systems, cfg, *sanitize, policy)
+        }
+    };
+
+    // 3. Accept or repair, once.
+    let acceptance =
+        accept_or_repair(systems.iter().copied(), &mut run.solutions, run.producer, run.policy);
+    let repairs = acceptance.repairs();
+
+    // 4. Account. The warm tier counts every answer acceptance failed (a
+    // flipped launch and a poisoned entry look alike) and condemns the
+    // cached factors, so the next flush refactors from the pristine
+    // matrix. The cold GPU path counts the launch's injected corruptions;
+    // CPU engines have none.
+    let corruptions = match &route {
+        Route::Warm(_) => repairs as u64,
+        _ => run.injected_corruptions,
+    };
+    if corruptions > 0 {
+        if let (Route::Warm(entry), Some(shared)) = (&route, &cfg.factor_cache) {
+            if shared.of::<T>().invalidate(&entry.key) {
+                metrics.on_factor_evictions(1);
+                cfg.trace.emit(|| TraceEvent::FactorEvict {
+                    at: cfg.clock.now(),
+                    key: entry.key.fingerprint(),
+                });
+            }
+        }
+        // A corruption caught while serving a certified key revokes its
+        // certificate: the key returns to full per-answer verification
+        // for the life of the process. On a key's first flush it makes
+        // the catalog forget the sighting instead, so no skip window opens
+        // right after a failed verify.
         if let (Some(catalog), Some(key)) = (&cfg.certified, matrix_key) {
             if catalog.revoke(&key) {
                 metrics.on_cert_revoked();
@@ -364,41 +285,29 @@ pub fn serve_flush<T: Real>(
     // Per-device accounting: GPU-served flushes accrue simulated busy time
     // on the device that ran them (CPU-demoted flushes cost the device
     // nothing).
-    if !outcome.engine_label.starts_with("cpu") {
-        device.note_dispatched(outcome.engine_ms);
+    if !run.engine_label.starts_with("cpu") {
+        device.note_dispatched(run.engine_ms);
     }
-
-    if let Some((errors, warnings)) = outcome.sanitizer_findings {
+    if let Some((errors, warnings)) = run.sanitizer_findings {
         metrics.on_flush_sanitized(errors, warnings);
     }
-    metrics.on_batch_served(
-        &outcome.engine_label,
-        occupancy,
-        reason,
-        outcome.repairs,
-        outcome.engine_ms,
-    );
-    metrics.on_degradation(
-        outcome.retries,
-        outcome.device_faults,
-        outcome.corruptions,
-        outcome.degraded,
-    );
+    metrics.on_batch_served(&run.engine_label, occupancy, reason, repairs, run.engine_ms);
+    metrics.on_degradation(run.retries, run.device_faults, corruptions, run.degraded);
 
     // Charge the engine's time to the service clock: on the real clock
     // the wall already paid it (no-op); on a simulated clock this is what
     // turns modeled device/CPU milliseconds into observed latency.
-    cfg.clock.work(Duration::from_secs_f64(outcome.engine_ms.max(0.0) / 1e3));
-    let engine_ns = (outcome.engine_ms.max(0.0) * 1e6).round() as u64;
+    cfg.clock.work(Duration::from_secs_f64(run.engine_ms.max(0.0) / 1e3));
+    let engine_ns = (run.engine_ms.max(0.0) * 1e6).round() as u64;
     cfg.trace.emit(|| TraceEvent::Served {
         at: cfg.clock.now(),
         n: n as u64,
         occupancy: occupancy as u64,
-        engine: outcome.engine_label.clone(),
+        engine: run.engine_label.clone(),
         reason,
         engine_ns,
-        repairs: outcome.repairs as u64,
-        degraded: outcome.degraded,
+        repairs: repairs as u64,
+        degraded: run.degraded,
     });
 
     let now = cfg.clock.now();
@@ -411,16 +320,93 @@ pub fn serve_flush<T: Real>(
         let id = request.id;
         request.fulfil(crate::request::SolveResponse {
             id,
-            x: outcome.solutions.system(i).to_vec(),
-            residual: outcome.residuals[i],
-            engine: outcome.engine_label.clone(),
-            repaired: outcome.repaired_flags[i],
+            x: run.solutions.system(i).to_vec(),
+            residual: acceptance.residuals[i],
+            engine: run.engine_label.clone(),
+            repaired: acceptance.repaired[i],
             batch_occupancy: occupancy,
             latency,
             deadline_missed,
         });
         metrics.on_complete(latency);
     }
+}
+
+/// Resolves a keyed flush's verify policy from the certificate catalog.
+/// The matrix is statically analyzed exactly once per key, on its second
+/// flush (the first is fully verified anyway); thereafter the catalog's
+/// deterministic 1-in-K schedule decides how much verification this
+/// flush pays.
+fn certified_policy<T: Real>(
+    catalog: &CertifiedCatalog,
+    key: MatrixKey,
+    system: &TridiagonalSystem<T>,
+    cfg: &DispatchConfig,
+    metrics: &ServiceMetrics,
+) -> VerifyPolicy {
+    let obs = catalog.observe(key, system);
+    if obs.newly_analyzed {
+        metrics.on_condest_calls(obs.condest_calls);
+        if obs.certificate.is_certified() {
+            metrics.on_cert_issued();
+        }
+        cfg.trace.emit(|| TraceEvent::CertIssued {
+            at: cfg.clock.now(),
+            key: key.fingerprint(),
+            cert: obs.certificate.name().to_string(),
+        });
+    }
+    match obs.decision {
+        VerifyDecision::Full => VerifyPolicy::full(cfg.threshold_scale),
+        VerifyDecision::Sampled => {
+            metrics.on_cert_sampled_verify();
+            // Condition-informed acceptance (the condest wiring): a
+            // certified-but-worse-conditioned matrix widens its sampled
+            // threshold instead of tripping false corruption alarms.
+            VerifyPolicy::condition_scaled(cfg.threshold_scale, obs.kappa1)
+        }
+        VerifyDecision::Skip => {
+            metrics.on_cert_skipped_verify();
+            cfg.trace.emit(|| TraceEvent::CertSkipVerify {
+                at: cfg.clock.now(),
+                key: key.fingerprint(),
+                n: system.n() as u64,
+            });
+            VerifyPolicy {
+                certificate_bound: Some(obs.forward_error_bound),
+                ..VerifyPolicy::full(cfg.threshold_scale)
+            }
+        }
+    }
+}
+
+/// The warm tier's lookup for a keyed flush. A hit returns the cached
+/// factors; a miss factors the matrix for next time and returns `None`,
+/// so the flush runs cold. Unfactorable matrices (zero pivot, non-finite)
+/// are simply not cached; the cold path's acceptance rule owns them.
+fn warm_lookup<T: Real>(
+    cache: &FactorCache<T>,
+    key: MatrixKey,
+    system: &TridiagonalSystem<T>,
+    cfg: &DispatchConfig,
+    metrics: &ServiceMetrics,
+) -> Option<FactorEntry<T>> {
+    let n = system.n() as u64;
+    if let Some(entry) = cache.lookup(&key) {
+        cfg.trace.emit(|| TraceEvent::FactorHit { at: cfg.clock.now(), key: key.fingerprint(), n });
+        metrics.on_factor_hit();
+        metrics.on_warm_flush();
+        return Some(entry);
+    }
+    cfg.trace.emit(|| TraceEvent::FactorMiss { at: cfg.clock.now(), key: key.fingerprint(), n });
+    metrics.on_factor_miss();
+    if let Ok((_, evicted)) = cache.factor_and_insert(key, &system.a, &system.b, &system.c) {
+        metrics.on_factor_evictions(evicted.len() as u64);
+        for fp in evicted {
+            cfg.trace.emit(|| TraceEvent::FactorEvict { at: cfg.clock.now(), key: fp });
+        }
+    }
+    None
 }
 
 /// What the admission check does with one flush — the single point of
@@ -466,42 +452,23 @@ fn sanitize_decision<T: Real>(
     }
 }
 
-/// How much verification one flush pays, resolved once per flush from the
-/// certified catalog (defaulting to full verification for unkeyed or
-/// uncertified traffic).
-#[derive(Debug, Clone, Copy)]
-struct VerifyPolicy {
-    decision: VerifyDecision,
-    /// Acceptance scale for verified flushes (condition-informed on
-    /// `Sampled` flushes of certified keys).
-    threshold_scale: f64,
-    /// The certificate's a-priori forward-error bound, reported in place
-    /// of a measured residual on `Skip` flushes.
-    forward_error_bound: f64,
-}
-
-impl VerifyPolicy {
-    fn full(threshold_scale: f64) -> Self {
-        VerifyPolicy {
-            decision: VerifyDecision::Full,
-            threshold_scale,
-            forward_error_bound: f64::INFINITY,
-        }
-    }
-
-    fn skips(&self) -> bool {
-        self.decision == VerifyDecision::Skip
-    }
-}
-
-struct Outcome<T: Real> {
+/// One engine run's raw answers, before acceptance, and how they came to
+/// be.
+struct Run<T: Real> {
     solutions: SolutionBatch<T>,
-    residuals: Vec<f64>,
-    repaired_flags: Vec<bool>,
-    repairs: usize,
     engine_label: String,
-    /// Simulated device ms (GPU) or measured wall-clock ms (CPU).
+    /// Simulated device ms (GPU) or CPU engine ms (measured on a real
+    /// clock, modeled on a simulated one).
     engine_ms: f64,
+    /// Whether acceptance may re-solve a failed answer with GEP.
+    producer: Producer,
+    /// The verification these answers pay: the flush's policy, or full
+    /// verification on a degraded path (a degraded flush has already shown
+    /// evidence that static assumptions may not hold).
+    policy: VerifyPolicy,
+    /// Output corruptions the fault plan injected into the launch that
+    /// produced the answers (cold GPU path; 0 elsewhere).
+    injected_corruptions: u64,
     /// `(error_sites, warning_sites)` when the flush ran under the
     /// sanitizer; `None` for unsanitized flushes and CPU engines.
     sanitizer_findings: Option<(u64, u64)>,
@@ -509,11 +476,32 @@ struct Outcome<T: Real> {
     retries: u64,
     /// Device faults observed while serving this flush.
     device_faults: u64,
-    /// Memory corruptions the verify step caught (and GEP repaired).
-    corruptions: u64,
-    /// `true` when the final answer came from an engine other than the
-    /// planned one (breaker denial, retry exhaustion, or device loss).
+    /// `true` when the answers came from an engine other than the planned
+    /// one (breaker denial, retry exhaustion, or device loss).
     degraded: bool,
+}
+
+impl<T: Real> Run<T> {
+    /// Answers fresh from a pivot-free engine with no fault history.
+    fn new(
+        solutions: SolutionBatch<T>,
+        engine_label: String,
+        engine_ms: f64,
+        policy: VerifyPolicy,
+    ) -> Self {
+        Self {
+            solutions,
+            engine_label,
+            engine_ms,
+            producer: Producer::PivotFree,
+            policy,
+            injected_corruptions: 0,
+            sanitizer_findings: None,
+            retries: 0,
+            device_faults: 0,
+            degraded: false,
+        }
+    }
 }
 
 /// Deterministic exponential backoff with a small jitter derived from the
@@ -529,45 +517,108 @@ fn backoff_delay(cfg: &DispatchConfig, attempt: usize) -> Duration {
     doubled.min(cfg.backoff_max) + Duration::from_micros(jitter_us)
 }
 
-/// Runs `systems` on `engine`, verifying and repairing every solution.
+/// Where a flush runs, resolved before any engine does.
+enum Route<T: Real> {
+    /// Back-substitution against a cached factorization.
+    Warm(FactorEntry<T>),
+    /// A CPU engine.
+    Cpu(CpuEngine),
+    /// A GPU engine, the fallback ladder behind it, and whether its first
+    /// attempt runs under the kernel sanitizer.
+    Gpu { first: GpuAlgorithm, fallbacks: Vec<Engine>, sanitize: bool },
+}
+
+/// Resolves a cold flush's route: the engine (the pin, the small-flush
+/// CPU override, or the plan cache), then for a GPU engine its fallback
+/// ladder and first-flush sanitize decision.
+fn route_cold<T: Real>(
+    launcher: &Launcher,
+    plans: &PlanCache,
+    metrics: &ServiceMetrics,
+    cfg: &DispatchConfig,
+    n: usize,
+    occupancy: usize,
+) -> Route<T> {
+    // Pinned engine wins outright; otherwise sub-critical flushes skip
+    // planning entirely (they go to the CPU, and tuning a size class the
+    // GPU may never see would waste the tournament).
+    let engine = match cfg.pin_engine {
+        Some(engine) => engine,
+        None if occupancy < cfg.min_gpu_batch => Engine::Cpu(CpuEngine::Thomas),
+        None => plans.plan_for_on::<T>(launcher, n, cfg.probe_count, &cfg.clock).engine,
+    };
+    cfg.trace.emit(|| TraceEvent::Plan {
+        at: cfg.clock.now(),
+        n: n as u64,
+        occupancy: occupancy as u64,
+        engine: engine.to_string(),
+    });
+    let first = match engine {
+        Engine::Cpu(cpu) => return Route::Cpu(cpu),
+        Engine::Gpu(alg) => alg,
+    };
+
+    // Retry ladder: when the planned engine keeps faulting, the dispatcher
+    // walks the autotune ranking to the next-best GPU candidate. A pinned
+    // engine has no ladder — the pin is an explicit override.
+    let fallbacks = match cfg.pin_engine {
+        None => plans.ranking_for_on::<T>(launcher, n, cfg.probe_count, &cfg.clock),
+        Some(_) => Vec::new(),
+    };
+    // First GPU flush of this size class? One decision point: claim the
+    // one-time token and either run the dynamic sanitizer or let a static
+    // proof stand in for it.
+    let sanitize = match sanitize_decision::<T>(cfg, plans, launcher, engine, n) {
+        SanitizeDecision::Dynamic => true,
+        SanitizeDecision::ProofSkipped => {
+            metrics.on_sanitize_skipped_by_proof();
+            false
+        }
+        SanitizeDecision::NotApplicable => false,
+    };
+    Route::Gpu { first, fallbacks, sanitize }
+}
+
+/// Runs `systems` on GPU engine `first` through the retry ladder and
+/// returns the raw answers.
 ///
-/// * With `sanitize` set, the first GPU attempt runs with the kernel
+/// * With `sanitize` set, the first attempt runs with the kernel
 ///   sanitizer recording; error-severity findings demote the flush to the
 ///   CPU GEP safety net (an unsound kernel's answers are not trusted,
 ///   even if their residuals happen to pass).
 /// * GPU engines sit behind their circuit breaker: a denied engine is
 ///   skipped, a cooled-down one gets a half-open probe whose outcome is
-///   reported back.
+///   always reported back.
 /// * Transient device faults retry the same engine with backoff, then
 ///   walk `fallbacks` (the autotune ranking) to the next-best GPU
-///   candidate; device loss or attempt exhaustion lands on the CPU GEP
-///   safety net. The flush is **never** dropped.
+///   candidate; device loss, a launch-configuration error or attempt
+///   exhaustion lands on the CPU GEP safety net. The flush is **never**
+///   dropped.
 #[allow(clippy::too_many_arguments)] // internal dispatch plumbing; grouping would add a one-use struct
-fn execute<T: Real>(
+fn run_gpu<T: Real>(
     device: &DeviceCtx<'_>,
-    engine: Engine,
+    first: GpuAlgorithm,
     fallbacks: &[Engine],
     breakers: &CircuitBreakers,
-    systems: &[TridiagonalSystem<T>],
+    systems: &[&TridiagonalSystem<T>],
     cfg: &DispatchConfig,
     sanitize: bool,
-    policy: &VerifyPolicy,
-) -> Outcome<T> {
+    policy: VerifyPolicy,
+) -> Run<T> {
     let launcher = device.launcher;
-    let batch = SystemBatch::from_systems(systems).expect("flush holds >=1 same-size systems");
-    let threshold_scale = policy.threshold_scale;
-    // Degraded paths (sanitizer demotion, the GEP safety net) always pay
-    // full verification regardless of certificates — a degraded flush has
-    // already shown evidence that static assumptions may not hold.
-    let full_policy = VerifyPolicy::full(cfg.threshold_scale);
-    let first = match engine {
-        Engine::Cpu(cpu) => return cpu_execute(systems, &batch, cpu, policy, &cfg.clock),
-        Engine::Gpu(alg) => alg,
+    let batch =
+        SystemBatch::gather(systems.iter().copied()).expect("flush holds >=1 same-size systems");
+    let safety_net = |retries, device_faults, sanitizer_findings| Run {
+        retries,
+        device_faults,
+        sanitizer_findings,
+        degraded: true,
+        ..run_cpu(systems, CpuEngine::Gep, VerifyPolicy::full(cfg.threshold_scale), &cfg.clock)
     };
 
     // The candidate ladder: planned engine first, then every lower-ranked
     // GPU candidate from the tournament (CPU entries are implicit — the
-    // ladder always ends at the GEP safety net below).
+    // ladder always ends at the GEP safety net).
     let mut candidates: Vec<GpuAlgorithm> = vec![first];
     candidates.extend(fallbacks.iter().filter_map(|e| match e {
         Engine::Gpu(alg) if *alg != first => Some(*alg),
@@ -579,12 +630,11 @@ fn execute<T: Real>(
     let mut total_attempts = 0usize;
 
     'ladder: for (rank, alg) in candidates.iter().enumerate() {
-        let gpu_engine = Engine::Gpu(*alg);
-        let label = gpu_engine.to_string();
+        let label = Engine::Gpu(*alg).to_string();
         let key = device.breaker_key(&label);
-        match breakers.admit(&key) {
-            Admission::Deny => continue 'ladder, // known-bad: next candidate
-            Admission::Allow | Admission::Probe => {}
+        let admission = breakers.admit(&key);
+        if admission == Admission::Deny {
+            continue 'ladder; // known-bad: next candidate
         }
         let mut engine_attempts = 0usize;
         while engine_attempts < cfg.max_attempts_per_engine
@@ -612,64 +662,30 @@ fn execute<T: Real>(
             } else {
                 launcher
             };
-            let options = RobustOptions { threshold_scale, skip_residual_verify: policy.skips() };
-            match solve_batch_robust(attempt_launcher, *alg, &batch, options) {
+            match solve_batch(attempt_launcher, *alg, &batch) {
                 Ok(report) => {
+                    // The launch answered: the engine is healthy, whatever
+                    // acceptance later finds in the answers.
                     breakers.on_success(&key);
                     let findings = sanitize_this.then(|| {
                         (
-                            report.gpu.sanitizer_error_count() as u64,
-                            report.gpu.sanitizer_warning_count() as u64,
+                            report.sanitizer_error_count() as u64,
+                            report.sanitizer_warning_count() as u64,
                         )
                     });
-                    if let Some((errors, _)) = findings {
-                        if errors > 0 {
-                            // The kernel is unsound on this traffic: fall
-                            // back to the CPU rather than serve its output.
-                            let mut out = cpu_execute(
-                                systems,
-                                &batch,
-                                CpuEngine::Gep,
-                                &full_policy,
-                                &cfg.clock,
-                            );
-                            out.sanitizer_findings = findings;
-                            out.retries = retries;
-                            out.device_faults = device_faults;
-                            out.degraded = true;
-                            return out;
-                        }
+                    if findings.is_some_and(|(errors, _)| errors > 0) {
+                        // The kernel is unsound on this traffic: fall back
+                        // to the CPU rather than serve its output.
+                        return safety_net(retries, device_faults, findings);
                     }
-                    let mut repaired_flags = vec![false; systems.len()];
-                    for repair in &report.repaired {
-                        repaired_flags[repair.system] = true;
-                    }
-                    // Skipped flushes report the certificate's a-priori
-                    // bound instead of paying the O(n) residual read-back
-                    // (repaired systems report their measured residual).
-                    let residuals = if policy.skips() {
-                        let mut rs = vec![policy.forward_error_bound; systems.len()];
-                        for repair in &report.repaired {
-                            rs[repair.system] = repair.final_residual;
-                        }
-                        rs
-                    } else {
-                        residuals_of(systems, &report.gpu.solutions)
-                    };
-                    let engine_ms = report.gpu.timing.total_ms();
-                    let corruptions = report.gpu.corruption_count() as u64;
-                    return Outcome {
-                        solutions: report.gpu.solutions,
-                        residuals,
-                        repairs: report.repaired.len(),
-                        repaired_flags,
-                        engine_label: label,
-                        engine_ms,
+                    let ms = report.timing.total_ms();
+                    return Run {
+                        injected_corruptions: report.corruption_count() as u64,
                         sanitizer_findings: findings,
                         retries,
                         device_faults,
-                        corruptions,
                         degraded: rank > 0,
+                        ..Run::new(report.solutions, label, ms, policy)
                     };
                 }
                 Err(e) if e.is_device_fault() => {
@@ -694,7 +710,16 @@ fn execute<T: Real>(
                 }
                 // Launch-configuration failure (e.g. a device swap made the
                 // cached plan illegal): retrying cannot help this engine.
-                Err(_) => break 'ladder,
+                // A closed breaker ignores it, but a half-open probe must
+                // report an outcome or its breaker denies every later
+                // flush: count it as a fault, so the breaker re-opens and
+                // probes again after the cooldown.
+                Err(_) => {
+                    if admission == Admission::Probe {
+                        breakers.on_fault(&key);
+                    }
+                    break 'ladder;
+                }
             }
         }
         if total_attempts >= cfg.max_total_attempts {
@@ -705,11 +730,7 @@ fn execute<T: Real>(
     // Every GPU avenue is exhausted (or denied): the pivoted CPU safety
     // net serves the flush. This is the graceful-degradation terminal —
     // correct answers, observable cost.
-    let mut out = cpu_execute(systems, &batch, CpuEngine::Gep, &full_policy, &cfg.clock);
-    out.retries = retries;
-    out.device_faults = device_faults;
-    out.degraded = true;
-    out
+    safety_net(retries, device_faults, None)
 }
 
 /// Deterministic CPU engine-time model for simulated clocks, in integer
@@ -742,6 +763,27 @@ pub(crate) fn sim_cpu_warm_ns(n: usize, count: usize) -> u64 {
     (n as u64).saturating_mul(count as u64).saturating_mul(16)
 }
 
+/// Engine time of a CPU run: the wall since `started` on a real clock
+/// (the engine alone — acceptance runs after); on a simulated one the
+/// modeled `sim_ns`, less the [`SIM_VERIFY_NS_PER_ROW`] discount when
+/// `policy` skips the residual.
+fn cpu_engine_ms(
+    clock: &Clock,
+    sim_ns: u64,
+    n: usize,
+    count: usize,
+    policy: VerifyPolicy,
+    started: Instant,
+) -> f64 {
+    if clock.is_sim() {
+        let rows = (n as u64).saturating_mul(count as u64);
+        let discount = if policy.skips() { rows.saturating_mul(SIM_VERIFY_NS_PER_ROW) } else { 0 };
+        sim_ns.saturating_sub(discount) as f64 / 1e6
+    } else {
+        started.elapsed().as_secs_f64() * 1e3
+    }
+}
+
 /// The matrix key shared by *every* request in the flush, or `None` when
 /// any member is unkeyed or keys disagree (the batcher groups by key
 /// fingerprint, so disagreement means a fingerprint collision — rare, and
@@ -751,235 +793,87 @@ fn shared_matrix_key<T: Real>(requests: &[SolveRequest<T>]) -> Option<MatrixKey>
     requests.iter().all(|r| r.matrix_key == Some(first)).then_some(first)
 }
 
-/// Serves one keyed flush from a cached factorization: GPU warm kernel
-/// when the batch clears `min_gpu_batch` (falling back to the CPU sweep
-/// on a device fault), CPU sweep otherwise. Every solution passes the
-/// same residual acceptance test as the cold path — unless the key holds
-/// a live `NumericCertificate` and the catalog's sampled-verification
-/// policy says `Skip`, in which case only the NaN/Inf guard runs and the
-/// reported residual is the certificate's a-priori forward-error bound.
-/// A failure — a corrupted launch, or a stale/poisoned factorization —
-/// is repaired per-system with GEP and **invalidates the cache entry**,
-/// so the next flush refactors from scratch rather than re-trusting bad
-/// coefficients.
-#[allow(clippy::too_many_arguments)] // internal dispatch plumbing; grouping would add a one-use struct
-fn warm_execute<T: Real>(
+/// Runs one keyed flush from a cached factorization: the GPU warm kernel
+/// when the batch clears `min_gpu_batch`, the CPU sweep otherwise or
+/// after a device fault. Warm flushes never ride the retry ladder: there
+/// is no elimination to re-run, and the substitution is cheap enough that
+/// the CPU sweep is the faster recovery.
+fn run_warm<T: Real>(
     device: &DeviceCtx<'_>,
-    cache: &FactorCache<T>,
-    key: &MatrixKey,
     entry: &FactorEntry<T>,
-    requests: &[SolveRequest<T>],
+    systems: &[&TridiagonalSystem<T>],
     cfg: &DispatchConfig,
-    metrics: &ServiceMetrics,
-    policy: &VerifyPolicy,
-) -> Outcome<T> {
-    let n = entry.thomas.n();
-    let count = requests.len();
+    policy: VerifyPolicy,
+) -> Run<T> {
+    let (n, count) = (entry.thomas.n(), systems.len());
+    let started = Instant::now();
     let mut device_faults = 0u64;
-    let mut gpu_degraded = false;
-    let started = std::time::Instant::now();
-
-    // GPU attempt: one batched back-substitution launch. Faults fall back
-    // to the CPU sweep below — warm flushes never ride the retry ladder
-    // (there is no elimination to re-run; the substitution is cheap enough
-    // that the CPU fallback is the faster recovery).
-    let mut gpu_result: Option<(SolutionBatch<T>, f64)> = None;
+    let mut degraded = false;
     if count >= cfg.min_gpu_batch {
-        let rhs: Vec<&[T]> = requests.iter().map(|r| r.system.d.as_slice()).collect();
+        let rhs: Vec<&[T]> = systems.iter().map(|s| s.d.as_slice()).collect();
         match gpu_solvers::solve_batch_warm(device.launcher, &entry.thomas, &rhs) {
             Ok(report) => {
                 let ms = report.timing.total_ms();
-                gpu_result = Some((report.solutions, ms));
+                return Run::new(report.solutions, "warm-gpu".into(), ms, policy);
             }
             Err(e) if e.is_device_fault() => {
                 device_faults += 1;
-                gpu_degraded = true;
+                degraded = true;
                 let lost = matches!(e, TridiagError::DeviceLost);
                 cfg.trace.emit(|| TraceEvent::Fault { at: cfg.clock.now(), lost });
                 if lost {
                     device.mark_lost();
                 }
             }
-            Err(_) => gpu_degraded = true,
+            Err(_) => degraded = true,
         }
     }
-
-    let (mut solutions, engine_ms, engine_label) = match gpu_result {
-        Some((solutions, ms)) => (solutions, ms, "warm-gpu".to_string()),
-        None => {
-            let mut solutions = SolutionBatch::from_flat(n, count, vec![T::ZERO; n * count])
-                .expect("flush holds >=1 same-size systems");
-            for (i, req) in requests.iter().enumerate() {
-                entry.thomas.solve_into(&req.system.d, solutions.system_mut(i));
-            }
-            let ms = if cfg.clock.is_sim() {
-                let discount = if policy.skips() {
-                    (n as u64).saturating_mul(count as u64).saturating_mul(SIM_VERIFY_NS_PER_ROW)
-                } else {
-                    0
-                };
-                sim_cpu_warm_ns(n, count).saturating_sub(discount) as f64 / 1e6
-            } else {
-                started.elapsed().as_secs_f64() * 1e3
-            };
-            (solutions, ms, "cpu-warm".to_string())
-        }
-    };
-
-    // Same acceptance rule as the cold paths — unless the flush's policy
-    // (the catalog's verdict on a live certificate) licenses skipping the
-    // residual read; the NaN/Inf guard is never skipped. Failures
-    // additionally condemn the cached factorization.
-    let skip_verify = policy.skips();
-    let mut residuals = vec![0.0f64; count];
-    let mut repaired_flags = vec![false; count];
-    let mut repairs = 0usize;
-    let mut corruptions = 0u64;
-    for (i, req) in requests.iter().enumerate() {
-        let sys = &req.system;
-        let x = solutions.system_mut(i);
-        let (accepted, measured) = if skip_verify {
-            (x.iter().all(|v| v.is_finite()), None)
-        } else {
-            check_residual(sys, x, policy.threshold_scale)
-        };
-        if !accepted {
-            let _ = gep::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x);
-            repaired_flags[i] = true;
-            repairs += 1;
-            corruptions += 1;
-        }
-        residuals[i] = match measured {
-            _ if repaired_flags[i] => l2_residual(sys, x).unwrap_or(f64::INFINITY),
-            Some(r) => r,
-            None => policy.forward_error_bound,
-        };
+    let mut solutions = SolutionBatch::from_flat(n, count, vec![T::ZERO; n * count])
+        .expect("flush holds >=1 same-size systems");
+    for (i, sys) in systems.iter().enumerate() {
+        entry.thomas.solve_into(&sys.d, solutions.system_mut(i));
     }
-    if corruptions > 0 && cache.invalidate(key) {
-        metrics.on_factor_evictions(1);
-        cfg.trace.emit(|| TraceEvent::FactorEvict { at: cfg.clock.now(), key: key.fingerprint() });
-    }
-
-    Outcome {
-        solutions,
-        residuals,
-        repairs,
-        repaired_flags,
-        engine_label,
-        engine_ms,
-        sanitizer_findings: None,
-        retries: 0,
-        device_faults,
-        corruptions,
-        degraded: gpu_degraded,
-    }
+    let ms = cpu_engine_ms(&cfg.clock, sim_cpu_warm_ns(n, count), n, count, policy, started);
+    Run { device_faults, degraded, ..Run::new(solutions, "cpu-warm".into(), ms, policy) }
 }
 
-/// The per-answer acceptance test `‖Ax − d‖₂ ≤ scale · ‖d‖₂ · ε · n`:
-/// whether `x` passes, plus the residual it measured (`None` when `x` is
-/// not finite or the residual cannot be formed), so an accepted answer
-/// reports that residual without a second pass.
-fn check_residual<T: Real>(sys: &TridiagonalSystem<T>, x: &[T], scale: f64) -> (bool, Option<f64>) {
-    if !x.iter().all(|v| v.is_finite()) {
-        return (false, None);
-    }
-    let d_norm: f64 = sys.d.iter().map(|&v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt().max(1e-30);
-    let threshold = scale * d_norm * T::EPSILON.to_f64() * sys.n() as f64;
-    match l2_residual(sys, x) {
-        Ok(r) => (r <= threshold, Some(r)),
-        Err(_) => (false, None),
-    }
-}
-
-/// CPU path with the same acceptance rule as `solve_batch_robust`: accept
-/// when `||Ax − d||₂ ≤ scale · ||d||₂ · ε · n`, otherwise re-solve with
-/// partial pivoting. A `Skip` policy drops the residual read (NaN/Inf
-/// guard only) and reports the certificate's forward-error bound. Engine
-/// time is measured off the wall on a real clock and modeled by
-/// [`sim_cpu_ns`] (minus the [`SIM_VERIFY_NS_PER_ROW`] discount when
-/// skipping) on a simulated one.
-fn cpu_execute<T: Real>(
-    systems: &[TridiagonalSystem<T>],
-    batch: &SystemBatch<T>,
+/// Runs a CPU engine over every system. A system the engine cannot solve
+/// (a Thomas zero pivot, an exactly singular matrix for GEP) is left as
+/// NaN, so acceptance's guard catches it under every policy. GEP answers
+/// are never re-solved.
+fn run_cpu<T: Real>(
+    systems: &[&TridiagonalSystem<T>],
     cpu: CpuEngine,
-    policy: &VerifyPolicy,
+    policy: VerifyPolicy,
     clock: &Clock,
-) -> Outcome<T> {
-    let n = batch.n();
-    let skip_verify = policy.skips();
-    let mut solutions = SolutionBatch::zeros_like(batch);
-    let mut residuals = vec![0.0f64; systems.len()];
-    let mut repaired_flags = vec![false; systems.len()];
-    let mut repairs = 0usize;
-    let started = std::time::Instant::now();
-
+) -> Run<T> {
+    let (n, count) = (systems[0].n(), systems.len());
+    let mut solutions = SolutionBatch::from_flat(n, count, vec![T::ZERO; n * count])
+        .expect("flush holds >=1 same-size systems");
+    let started = Instant::now();
     for (i, sys) in systems.iter().enumerate() {
         let x = solutions.system_mut(i);
-        let primary_ok = match cpu {
-            CpuEngine::Thomas => thomas::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x).is_ok(),
-            CpuEngine::Gep => gep::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x).is_ok(),
+        let solved = match cpu {
+            CpuEngine::Thomas => thomas::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x),
+            CpuEngine::Gep => gep::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x),
         };
-        let (accepted, measured) = if !primary_ok {
-            (false, None)
-        } else if skip_verify {
-            (x.iter().all(|v| v.is_finite()), None)
-        } else {
-            check_residual(sys, x, policy.threshold_scale)
-        };
-        if !accepted && cpu != CpuEngine::Gep {
-            // Same repair path as the GPU robust wrapper.
-            let _ = gep::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x);
-            repaired_flags[i] = true;
-            repairs += 1;
+        if solved.is_err() {
+            x.fill(T::from_f64(f64::NAN));
         }
-        residuals[i] = match measured {
-            Some(r) if !repaired_flags[i] => r,
-            _ if skip_verify && accepted => policy.forward_error_bound,
-            _ => l2_residual(sys, x).unwrap_or(f64::INFINITY),
-        };
     }
-
-    let engine_ms = if clock.is_sim() {
-        let base = sim_cpu_ns(cpu, n, systems.len());
-        let discount = if skip_verify {
-            (n as u64).saturating_mul(systems.len() as u64).saturating_mul(SIM_VERIFY_NS_PER_ROW)
-        } else {
-            0
-        };
-        base.saturating_sub(discount) as f64 / 1e6
-    } else {
-        started.elapsed().as_secs_f64() * 1e3
+    let ms = cpu_engine_ms(clock, sim_cpu_ns(cpu, n, count), n, count, policy, started);
+    let producer = match cpu {
+        CpuEngine::Thomas => Producer::PivotFree,
+        CpuEngine::Gep => Producer::Gep,
     };
-    Outcome {
-        solutions,
-        residuals,
-        repairs,
-        repaired_flags,
-        engine_label: Engine::Cpu(cpu).to_string(),
-        engine_ms,
-        sanitizer_findings: None,
-        retries: 0,
-        device_faults: 0,
-        corruptions: 0,
-        degraded: false,
-    }
-}
-
-fn residuals_of<T: Real>(
-    systems: &[TridiagonalSystem<T>],
-    solutions: &SolutionBatch<T>,
-) -> Vec<f64> {
-    systems
-        .iter()
-        .enumerate()
-        .map(|(i, sys)| l2_residual(sys, solutions.system(i)).unwrap_or(f64::INFINITY))
-        .collect()
+    Run { producer, ..Run::new(solutions, Engine::Cpu(cpu).to_string(), ms, policy) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batcher::FlushReason;
+    use crate::breaker::{BreakerConfig, BreakerState};
     use crate::request::make_request;
     use gpu_solvers::GpuAlgorithm;
     use tridiag_core::{Generator, Workload};
@@ -1108,29 +1002,140 @@ mod tests {
     }
 
     #[test]
-    fn gpu_path_verifies_and_repairs_via_robust_wrapper() {
-        // Force a GPU plan by seeding the cache artificially through a
-        // large flush on a size where GPU wins is not guaranteed; instead
-        // exercise `execute` directly with a known-overflowing engine.
+    fn gpu_answers_are_accepted_or_repaired() {
+        // Plain RD overflows at n = 512 on dominant systems (Figure 18):
+        // acceptance must hand back repaired, accurate answers.
         let launcher = Launcher::gtx280();
-        let systems: Vec<TridiagonalSystem<f32>> = {
-            let mut generator = Generator::new(2);
-            (0..8).map(|_| generator.system(Workload::DiagonallyDominant, 512)).collect()
+        let metrics = ServiceMetrics::new();
+        let pinned = DispatchConfig {
+            pin_engine: Some(Engine::Gpu(GpuAlgorithm::Rd(gpu_solvers::RdMode::Plain))),
+            ..cfg()
         };
-        // Plain RD overflows at n = 512 on dominant systems (Figure 18);
-        // the robust wrapper must hand back repaired, accurate answers.
-        let out = execute(
-            &DeviceCtx::solo(&launcher),
-            Engine::Gpu(GpuAlgorithm::Rd(gpu_solvers::RdMode::Plain)),
-            &[],
+        let (flush, tickets) = flush_of(512, 8, 2);
+        serve_flush(
+            DeviceCtx::solo(&launcher),
+            &PlanCache::new(),
             &CircuitBreakers::default(),
-            &systems,
-            &cfg(),
-            false,
-            &VerifyPolicy::full(100.0),
+            &metrics,
+            &pinned,
+            flush,
         );
-        assert!(out.repairs > 0);
-        assert!(out.residuals.iter().all(|&r| r.is_finite() && r < 1e-2));
+        for ticket in tickets {
+            let resp = ticket.try_take().unwrap();
+            assert_eq!(resp.engine, "rd");
+            assert!(resp.residual.is_finite() && resp.residual < 1e-2, "{}", resp.residual);
+        }
+        assert!(metrics.snapshot(0, 0, 0).repaired > 0);
+    }
+
+    /// Eight dominant f32 systems of n = 64 with an all-zero matrix at
+    /// index 5: pivot-free engines produce NaN there, and GEP cannot
+    /// repair it.
+    fn flush_with_a_singular_system() -> (FlushedBatch<f32>, Vec<crate::request::Ticket<f32>>) {
+        let (mut flush, tickets) = flush_of(64, 8, 46);
+        let zero = vec![0.0f32; 64];
+        let d = flush.requests[5].system.d.clone();
+        flush.requests[5].system = TridiagonalSystem::new(zero.clone(), zero.clone(), zero, d)
+            .expect("an all-zero matrix is a well-formed system");
+        (flush, tickets)
+    }
+
+    #[test]
+    fn one_singular_system_does_not_demote_its_flush() {
+        let launcher = Launcher::gtx280();
+        let metrics = ServiceMetrics::new();
+        let pinned = DispatchConfig {
+            pin_engine: Some(Engine::Gpu(GpuAlgorithm::CrPcr { m: 32 })),
+            ..cfg()
+        };
+        let (flush, tickets) = flush_with_a_singular_system();
+        serve_flush(
+            DeviceCtx::solo(&launcher),
+            &PlanCache::new(),
+            &CircuitBreakers::default(),
+            &metrics,
+            &pinned,
+            flush,
+        );
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let resp = ticket.try_take().unwrap();
+            assert_eq!(resp.engine, "cr+pcr@32", "system {i}");
+            if i == 5 {
+                assert!(resp.repaired, "the singular system is repaired");
+                assert_eq!(resp.residual, f64::INFINITY, "GEP cannot solve it either");
+            } else {
+                assert!(!resp.repaired, "system {i}");
+                assert!(resp.residual < 1e-2, "system {i}: {}", resp.residual);
+            }
+        }
+        let snap = metrics.snapshot(0, 0, 0);
+        assert_eq!(snap.repaired, 1);
+        assert_eq!(snap.degradation.degraded_flushes, 0, "one bad input is not degradation");
+    }
+
+    #[test]
+    fn a_singular_system_on_a_probe_closes_the_breaker() {
+        // The probe's launch answered; what acceptance finds in one
+        // answer says nothing about the engine's health.
+        let clock = Clock::sim();
+        let launcher = Launcher::gtx280();
+        let breakers = CircuitBreakers::with_clock(BreakerConfig::default(), clock.clone());
+        let metrics = ServiceMetrics::new();
+        let pinned = DispatchConfig {
+            pin_engine: Some(Engine::Gpu(GpuAlgorithm::CrPcr { m: 32 })),
+            clock: clock.clone(),
+            ..cfg()
+        };
+        breakers.trip("dev0:cr+pcr@32");
+        clock.advance(BreakerConfig::default().cooldown);
+        let (flush, tickets) = flush_with_a_singular_system();
+        serve_flush(
+            DeviceCtx::solo(&launcher),
+            &PlanCache::new(),
+            &breakers,
+            &metrics,
+            &pinned,
+            flush,
+        );
+        for ticket in tickets {
+            assert_eq!(ticket.try_take().unwrap().engine, "cr+pcr@32", "the probe served");
+        }
+        assert_eq!(breakers.state("dev0:cr+pcr@32"), BreakerState::Closed);
+        assert_eq!(metrics.snapshot(0, 0, 0).degradation.degraded_flushes, 0);
+    }
+
+    #[test]
+    fn a_configuration_error_on_a_probe_reopens_the_breaker() {
+        let clock = Clock::sim();
+        let launcher = Launcher::gtx280();
+        let plans = PlanCache::new();
+        let breakers = CircuitBreakers::with_clock(BreakerConfig::default(), clock.clone());
+        let metrics = ServiceMetrics::new();
+        let pinned = DispatchConfig {
+            pin_engine: Some(Engine::Gpu(GpuAlgorithm::Cr)),
+            clock: clock.clone(),
+            ..cfg()
+        };
+        let serve = |n: usize, seed: u64| {
+            let (flush, tickets) = flush_of(n, 8, seed);
+            serve_flush(DeviceCtx::solo(&launcher), &plans, &breakers, &metrics, &pinned, flush);
+            tickets.into_iter().map(|t| t.try_take().unwrap().engine).collect::<Vec<_>>()
+        };
+        // CR needs a power-of-two size. A closed breaker ignores the
+        // configuration error: the engine is not at fault.
+        assert!(serve(100, 47).iter().all(|e| e == "cpu-gep"));
+        assert_eq!(breakers.state("dev0:cr"), BreakerState::Closed);
+
+        // As a half-open probe the same error re-opens the breaker...
+        breakers.trip("dev0:cr");
+        clock.advance(BreakerConfig::default().cooldown);
+        assert!(serve(100, 48).iter().all(|e| e == "cpu-gep"));
+        assert_eq!(breakers.state("dev0:cr"), BreakerState::Open, "the probe reported");
+
+        // ...so one cooldown later a healthy flush probes and wins it back.
+        clock.advance(BreakerConfig::default().cooldown);
+        assert!(serve(64, 49).iter().all(|e| e == "cr"), "the engine was never disabled");
+        assert_eq!(breakers.state("dev0:cr"), BreakerState::Closed);
     }
 
     #[test]
@@ -1209,28 +1214,29 @@ mod tests {
 
     #[test]
     fn sanitizer_errors_demote_the_flush_to_the_cpu() {
-        // Drive `execute` directly with the deliberately hazardous
+        // Drive `run_gpu` directly with the deliberately hazardous
         // stride-one CR timing kernel's algorithm? That variant is not a
         // `GpuAlgorithm`, so instead prove the demotion contract at the
-        // `Outcome` level: a clean production kernel keeps its GPU label
+        // `Run` level: a clean production kernel keeps its GPU label
         // under sanitize, i.e. the demotion branch is not taken spuriously.
         let launcher = Launcher::gtx280();
         let systems: Vec<TridiagonalSystem<f32>> = {
             let mut generator = Generator::new(33);
             (0..8).map(|_| generator.system(Workload::DiagonallyDominant, 64)).collect()
         };
-        let out = execute(
+        let refs: Vec<&TridiagonalSystem<f32>> = systems.iter().collect();
+        let run = run_gpu(
             &DeviceCtx::solo(&launcher),
-            Engine::Gpu(GpuAlgorithm::Cr),
+            GpuAlgorithm::Cr,
             &[],
             &CircuitBreakers::default(),
-            &systems,
+            &refs,
             &cfg(),
             true,
-            &VerifyPolicy::full(100.0),
+            VerifyPolicy::full(100.0),
         );
-        assert_eq!(out.engine_label, "cr");
-        let (errors, _warnings) = out.sanitizer_findings.expect("sanitized flush reports findings");
+        assert_eq!(run.engine_label, "cr");
+        let (errors, _warnings) = run.sanitizer_findings.expect("sanitized flush reports findings");
         assert_eq!(errors, 0);
     }
 
@@ -1859,23 +1865,25 @@ mod tests {
             let mut generator = Generator::new(43);
             (0..8).map(|_| generator.system(Workload::DiagonallyDominant, 64)).collect()
         };
+        let refs: Vec<&TridiagonalSystem<f32>> = systems.iter().collect();
         let fallbacks =
             vec![Engine::Gpu(GpuAlgorithm::CrPcr { m: 32 }), Engine::Gpu(GpuAlgorithm::Pcr)];
-        let out = execute(
+        let mut run = run_gpu(
             &DeviceCtx::solo(&launcher),
-            Engine::Gpu(GpuAlgorithm::CrPcr { m: 32 }),
+            GpuAlgorithm::CrPcr { m: 32 },
             &fallbacks,
             &breakers,
-            &systems,
+            &refs,
             &cfg(),
             false,
-            &VerifyPolicy::full(100.0),
+            VerifyPolicy::full(100.0),
         );
-        assert_eq!(out.engine_label, "cpu-gep");
-        assert!(out.degraded);
-        assert_eq!(out.device_faults, 4, "max_total_attempts bounds the faults");
-        assert_eq!(out.retries, 3);
-        assert!(out.residuals.iter().all(|&r| r.is_finite() && r < 1e-2));
+        assert_eq!(run.engine_label, "cpu-gep");
+        assert!(run.degraded);
+        assert_eq!(run.device_faults, 4, "max_total_attempts bounds the faults");
+        assert_eq!(run.retries, 3);
+        let acceptance = accept_or_repair(&systems, &mut run.solutions, run.producer, run.policy);
+        assert!(acceptance.residuals.iter().all(|&r| r.is_finite() && r < 1e-2));
         // Two faults each on two engines (per-engine budget = 2).
         assert_eq!(plan.stats().launch_failures, 4);
     }

@@ -61,7 +61,7 @@ pub struct ServiceConfig {
     /// Flushes smaller than this run on the CPU regardless of plan.
     pub min_gpu_batch: usize,
     /// Residual acceptance scale for verify-and-repair (see
-    /// `gpu_solvers::RobustOptions`).
+    /// `gpu_solvers::VerifyPolicy::threshold_scale`).
     pub threshold_scale: f64,
     /// Probe batch size for autotune tournaments.
     pub probe_count: usize,

@@ -28,18 +28,27 @@ pub struct SystemBatch<T: Real> {
 impl<T: Real> SystemBatch<T> {
     /// Collects individual systems (all of size `n`) into batched storage.
     pub fn from_systems(systems: &[TridiagonalSystem<T>]) -> Result<Self> {
-        let count = systems.len();
-        if count == 0 {
+        Self::gather(systems)
+    }
+
+    /// [`SystemBatch::from_systems`] over borrowed systems, wherever they
+    /// live: each system is copied once, straight into the batch arrays.
+    pub fn gather<'a>(systems: impl IntoIterator<Item = &'a TridiagonalSystem<T>>) -> Result<Self>
+    where
+        T: 'a,
+    {
+        let mut systems = systems.into_iter().peekable();
+        let Some(n) = systems.peek().map(|s| s.n()) else {
             return Err(TridiagError::SizeTooSmall { n: 0, min: 1 });
-        }
-        let n = systems[0].n();
+        };
+        let capacity = n * systems.size_hint().0;
         let mut batch = Self {
             n,
-            count,
-            a: Vec::with_capacity(n * count),
-            b: Vec::with_capacity(n * count),
-            c: Vec::with_capacity(n * count),
-            d: Vec::with_capacity(n * count),
+            count: 0,
+            a: Vec::with_capacity(capacity),
+            b: Vec::with_capacity(capacity),
+            c: Vec::with_capacity(capacity),
+            d: Vec::with_capacity(capacity),
         };
         for s in systems {
             if s.n() != n {
@@ -53,6 +62,7 @@ impl<T: Real> SystemBatch<T> {
             batch.b.extend_from_slice(&s.b);
             batch.c.extend_from_slice(&s.c);
             batch.d.extend_from_slice(&s.d);
+            batch.count += 1;
         }
         Ok(batch)
     }
