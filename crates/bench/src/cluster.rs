@@ -23,9 +23,12 @@
 //!    link for a window mid-stream. Gate: zero loss, zero wrong,
 //!    traffic fails over during the window and returns to the partitioned
 //!    node after the heal (gossip + breaker cooldown).
-//! 4. **Two-level solve** — `solve_partitioned_cluster` at n = 2^18
-//!    (and 2^21 in the full sweep) over 4×8 devices, verified against
-//!    CPU GEP / the l2 residual. Gate: every row verifies.
+//! 4. **Two-level solve** — `solve_partitioned` from a cluster
+//!    coordinator at n = 2^18 (and 2^21 in the full sweep) over 4×8
+//!    devices, plus one 2-node row at 2^18 where node 1's device 1 fails
+//!    its first launch transiently, verified against CPU GEP / the l2
+//!    residual. Gate: every row verifies, and the faulty row's fault
+//!    fired and was retried.
 //!
 //! Everything runs on the virtual clock: every cell is a deterministic
 //! replay of its cluster seed.
@@ -33,10 +36,11 @@
 use crate::cli::{self, EXIT_GATE_FAIL, EXIT_PASS};
 use crate::report::Table;
 use cluster::{
-    node_key, run_cluster_service, solve_partitioned_cluster, BlockedWindow, ClusterConfig,
-    ClusterServiceConfig, ClusterWorkload, CrashWindow, NetFaultConfig, PeerState,
+    node_key, run_cluster_service, BlockedWindow, ClusterConfig, ClusterServiceConfig,
+    ClusterWorkload, CrashWindow, NetFaultConfig, PeerState,
 };
-use gpu_solvers::GpuAlgorithm;
+use gpu_sim::FaultConfig;
+use gpu_solvers::{solve_partitioned, GpuAlgorithm};
 use solver_service::{BreakerConfig, BreakerState, Engine};
 use std::time::Duration;
 use tridiag_core::residual::l2_residual;
@@ -293,13 +297,25 @@ struct SolveCell {
     local_ms: f64,
     interface_ms: f64,
     net_ms: f64,
+    /// Transient launch faults injected, for the retry row only.
+    launch_faults: Option<u64>,
 }
 
-fn drive_solve(nodes: usize, n: usize, elementwise: bool) -> SolveCell {
+/// One two-level solve. With `fault_burst`, node 1's device 1 fails its
+/// first launch transiently, so the solve must retry it.
+fn drive_solve(nodes: usize, n: usize, elementwise: bool, fault_burst: bool) -> SolveCell {
     let sys: TridiagonalSystem<f64> =
         Generator::new(20100109 ^ n as u64).system(Workload::DiagonallyDominant, n);
-    let cluster = ClusterConfig::new(nodes, DEVICES_PER_NODE).build();
-    let report = solve_partitioned_cluster(&cluster, 0, &sys, 8).expect("cluster solve");
+    let mut cfg = ClusterConfig::new(nodes, DEVICES_PER_NODE);
+    if fault_burst {
+        let burst = FaultConfig { launch_fault_burst: 1, ..FaultConfig::quiet(0) };
+        cfg.device_fault_overrides = vec![(1, 1, burst)];
+    }
+    let cluster = cfg.build();
+    let report = solve_partitioned(&cluster.coordinator(0), &sys, 8).expect("cluster solve");
+    let launch_faults = fault_burst.then(|| {
+        cluster.node(1).pool.device(1).fault_stats().map_or(0, |stats| stats.launch_failures)
+    });
     let residual = l2_residual(&sys, &report.x).expect("finite solution");
     let (max_rel_err, elementwise_ok) = if elementwise {
         let x_ref = cpu_solvers::gep::solve(&sys).expect("GEP reference");
@@ -313,14 +329,15 @@ fn drive_solve(nodes: usize, n: usize, elementwise: bool) -> SolveCell {
     SolveCell {
         nodes,
         n,
-        verified: elementwise_ok && residual < 1e-6,
+        verified: elementwise_ok && residual < 1e-6 && launch_faults != Some(0),
         max_rel_err,
         residual,
-        chunks: report.chunks_total,
+        chunks: report.chunks,
         interface_rows: report.interface_rows,
         local_ms: report.timing.local_ms,
         interface_ms: report.timing.interface_ms,
         net_ms: report.timing.net_ms,
+        launch_faults,
     }
 }
 
@@ -379,11 +396,12 @@ fn json_heal(out: &HealOutcome) -> String {
 }
 
 fn json_solve(cell: &SolveCell) -> String {
+    let faults = cell.launch_faults.map_or(String::new(), |k| format!(",\"launch_faults\":{k}"));
     format!(
         concat!(
             "{{\"experiment\":\"cluster-solve\",\"nodes\":{},\"n\":{},\"verified\":{},",
             "\"rel_err\":{},\"residual\":{:.3e},\"chunks\":{},\"interface_rows\":{},",
-            "\"local_ms\":{:.4},\"interface_ms\":{:.4},\"net_ms\":{:.4}}}"
+            "\"local_ms\":{:.4},\"interface_ms\":{:.4},\"net_ms\":{:.4}{}}}"
         ),
         cell.nodes,
         cell.n,
@@ -399,6 +417,7 @@ fn json_solve(cell: &SolveCell) -> String {
         cell.local_ms,
         cell.interface_ms,
         cell.net_ms,
+        faults,
     )
 }
 
@@ -608,26 +627,35 @@ pub fn run(args: &[String]) -> i32 {
             "gate",
         ],
     );
-    for &(n, elementwise) in &sizes {
-        for &nodes in node_counts {
-            eprintln!("[cluster] solve n=2^{} @ {nodes} node(s) ...", n.trailing_zeros());
-            let cell = drive_solve(nodes, n, elementwise);
-            failures += usize::from(!cell.verified);
-            stable.row(vec![
-                nodes.to_string(),
-                format!("2^{}", n.trailing_zeros()),
-                cell.chunks.to_string(),
-                cell.interface_rows.to_string(),
-                format!("{:.4}", cell.local_ms),
-                format!("{:.4}", cell.interface_ms),
-                format!("{:.4}", cell.net_ms),
-                format!("{:.2e}", cell.residual),
-                if cell.verified { "pass".into() } else { "FAIL".into() },
-            ]);
-            json.push(json_solve(&cell));
-        }
+    // Every size on every node count, then the retry row: 2 nodes at
+    // 2^18 with one device's first launch failing transiently.
+    let cells = sizes
+        .iter()
+        .flat_map(|&(n, elementwise)| {
+            node_counts.iter().map(move |&nodes| (nodes, n, elementwise, false))
+        })
+        .chain([(2, 1 << 18, true, true)]);
+    for (nodes, n, elementwise, fault_burst) in cells {
+        eprintln!("[cluster] solve n=2^{} @ {nodes} node(s) ...", n.trailing_zeros());
+        let cell = drive_solve(nodes, n, elementwise, fault_burst);
+        failures += usize::from(!cell.verified);
+        stable.row(vec![
+            if fault_burst { format!("{nodes}*") } else { nodes.to_string() },
+            format!("2^{}", n.trailing_zeros()),
+            cell.chunks.to_string(),
+            cell.interface_rows.to_string(),
+            format!("{:.4}", cell.local_ms),
+            format!("{:.4}", cell.interface_ms),
+            format!("{:.4}", cell.net_ms),
+            format!("{:.2e}", cell.residual),
+            if cell.verified { "pass".into() } else { "FAIL".into() },
+        ]);
+        json.push(json_solve(&cell));
     }
     stable.note("gate: element-wise rel err < 1e-9 vs GEP (2^18) and l2 residual < 1e-6");
+    stable.note(
+        "2*: node 1's device 1 fails its first launch transiently; the gate needs it retried",
+    );
     println!("{stable}");
 
     if parsed.json {
@@ -700,9 +728,18 @@ mod tests {
 
     #[test]
     fn solve_cell_verifies_at_2_16() {
-        let cell = drive_solve(4, 1 << 16, true);
+        let cell = drive_solve(4, 1 << 16, true, false);
         assert!(cell.verified, "rel err {:.3e} residual {:.3e}", cell.max_rel_err, cell.residual);
         assert_eq!(cell.interface_rows, 2 * cell.chunks);
+        assert!(!json_solve(&cell).contains("launch_faults"));
+    }
+
+    #[test]
+    fn retry_cell_fires_its_fault_and_verifies() {
+        let cell = drive_solve(2, 1 << 16, true, true);
+        assert_eq!(cell.launch_faults, Some(1));
+        assert!(cell.verified, "rel err {:.3e} residual {:.3e}", cell.max_rel_err, cell.residual);
+        assert!(json_solve(&cell).ends_with(",\"launch_faults\":1}"));
     }
 
     #[test]

@@ -22,9 +22,9 @@
 
 use crate::cli::{self, EXIT_GATE_FAIL, EXIT_PASS};
 use crate::report::Table;
-use device_pool::{solve_partitioned, PoolConfig};
+use device_pool::PoolConfig;
 use gpu_sim::FaultConfig;
-use gpu_solvers::GpuAlgorithm;
+use gpu_solvers::{solve_partitioned, GpuAlgorithm};
 use solver_service::{Engine, ServiceConfig, ServiceError, SolverService, Ticket};
 use std::time::Duration;
 use tridiag_core::residual::l2_residual;
@@ -264,7 +264,7 @@ fn drive_partitioned(
         verified: elementwise_ok && residual < 1e-6,
         max_rel_err,
         residual,
-        chunks: report.chunks_total,
+        chunks: report.chunks,
         interface_rows: report.interface_rows,
         local_ms: report.timing.local_ms,
         interface_ms: report.timing.interface_ms,

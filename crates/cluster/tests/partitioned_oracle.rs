@@ -7,13 +7,12 @@
 //! pipeline plans, launches, gathers or prices shows up as a mismatch.
 //! The cluster's `transfer_ms` is deliberately left unpinned.
 
-use cluster::{
-    solve_partitioned_cluster, BlockedWindow, Cluster, ClusterConfig, CrashWindow, NetFaultConfig,
-};
-use device_pool::{solve_partitioned, DevicePool, PoolConfig};
+use cluster::{BlockedWindow, Cluster, ClusterConfig, CrashWindow, NetFaultConfig};
+use device_pool::{DevicePool, PoolConfig};
 use gpu_sim::{FaultConfig, Launcher};
 use gpu_solvers::partitioned::{
-    solve_partitioned_single, solve_partitioned_single_with_offsets, PartitionedTiming,
+    back_substitute, local_reduce, solve_interface, solve_partitioned, InterfaceSystem,
+    PartitionedReport, PartitionedTiming,
 };
 use tridiag_core::{Generator, TridiagonalSystem, Workload};
 
@@ -54,17 +53,42 @@ fn phase_bits(t: &PartitionedTiming) -> [u64; 3] {
 
 fn launcher_outcome(sys: &TridiagonalSystem<f64>, offsets: Option<&[usize]>) -> Outcome {
     let launcher = Launcher::gtx280();
-    let r = match offsets {
-        Some(offsets) => solve_partitioned_single_with_offsets(&launcher, sys, offsets),
-        None => solve_partitioned_single(&launcher, sys, 16),
+    let Some(offsets) = offsets else {
+        return outcome(solve_partitioned(&launcher, sys, 16).unwrap());
+    };
+    // Explicit chunk boundaries: the pipeline's phases, one by one.
+    let mut phase = local_reduce(&launcher, &sys.a, &sys.b, &sys.c, &sys.d, offsets).unwrap();
+    let [ra, rb, rc, rd] = &phase.reduced;
+    let interface = InterfaceSystem::assemble(ra, rb, rc, rd);
+    let (xi, interface_ms) = solve_interface(&launcher, &interface).unwrap();
+    let (x, backsubst_ms, download_ms) = back_substitute(&launcher, &mut phase, &xi).unwrap();
+    let timing = PartitionedTiming {
+        local_ms: phase.local_ms,
+        interface_ms,
+        backsubst_ms,
+        transfer_ms: phase.upload_ms + download_ms,
+        net_ms: 0.0,
+    };
+    Outcome {
+        x_fnv: fnv(&x),
+        chunks: offsets.len() - 1,
+        interface: (interface.rows, interface.padded),
+        used: vec![0],
+        spans: vec![(0, sys.n())],
+        phase_ms: phase_bits(&timing),
+        transfer_ms: Some(timing.transfer_ms.to_bits()),
+        cluster: None,
     }
-    .unwrap();
+}
+
+/// A launcher's or a pool's outcome: devices used and their spans.
+fn outcome(r: PartitionedReport<f64>) -> Outcome {
     Outcome {
         x_fnv: fnv(&r.x),
         chunks: r.chunks,
         interface: (r.interface_rows, r.interface_padded),
-        used: vec![0],
-        spans: vec![(0, sys.n())],
+        used: r.spans.iter().map(|s| s.device).collect(),
+        spans: r.spans.iter().map(|s| (s.start, s.end)).collect(),
         phase_ms: phase_bits(&r.timing),
         transfer_ms: Some(r.timing.transfer_ms.to_bits()),
         cluster: None,
@@ -72,32 +96,33 @@ fn launcher_outcome(sys: &TridiagonalSystem<f64>, offsets: Option<&[usize]>) -> 
 }
 
 fn pool_outcome(pool: &DevicePool, sys: &TridiagonalSystem<f64>, cpd: usize) -> Outcome {
-    let r = solve_partitioned(pool, sys, cpd).unwrap();
-    Outcome {
-        x_fnv: fnv(&r.x),
-        chunks: r.chunks_total,
-        interface: (r.interface_rows, r.interface_padded),
-        used: r.devices_used,
-        spans: r.spans,
-        phase_ms: phase_bits(&r.timing),
-        transfer_ms: Some(r.timing.transfer_ms.to_bits()),
-        cluster: None,
-    }
+    outcome(solve_partitioned(pool, sys, cpd).unwrap())
 }
 
 fn cluster_outcome(cluster: &Cluster, sys: &TridiagonalSystem<f64>) -> Outcome {
-    let r = solve_partitioned_cluster(cluster, 0, sys, 4).unwrap();
-    let t = r.timing;
+    let r = solve_partitioned(&cluster.coordinator(0), sys, 4).unwrap();
+    // Nodes used, and each node's span from its first device's start to
+    // its last device's end.
+    let mut used: Vec<usize> = Vec::new();
+    let mut spans: Vec<(usize, usize)> = Vec::new();
+    for s in &r.spans {
+        if used.last() == Some(&s.node) {
+            spans.last_mut().unwrap().1 = s.end;
+        } else {
+            used.push(s.node);
+            spans.push((s.start, s.end));
+        }
+    }
     Outcome {
         x_fnv: fnv(&r.x),
-        chunks: r.chunks_total,
+        chunks: r.chunks,
         interface: (r.interface_rows, r.interface_padded),
-        used: r.nodes_used,
-        spans: r.node_spans,
-        phase_ms: [t.local_ms.to_bits(), t.interface_ms.to_bits(), t.backsubst_ms.to_bits()],
+        used,
+        spans,
+        phase_ms: phase_bits(&r.timing),
         transfer_ms: None,
         cluster: Some([
-            t.net_ms.to_bits(),
+            r.timing.net_ms.to_bits(),
             cluster.rpc_timeouts(),
             cluster.rpc_retries(),
             cluster.clock().now(),

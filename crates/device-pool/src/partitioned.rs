@@ -1,247 +1,41 @@
-//! Cross-device partitioned solve for systems too large for one block.
-//!
-//! The pipeline follows the substructuring scheme of distributed-memory
-//! tridiagonal solvers: the system is cut into contiguous **spans**, one
-//! per healthy device; each device runs the modified-Thomas local
-//! reduction over its span's chunks (in parallel, so the phase costs the
-//! *max* across devices); the per-chunk reduced rows are gathered into
-//! one small **interface system** solved with PCR on a single device; and
-//! the interface solution fans back out for embarrassingly-parallel
-//! back-substitution. A span is further cut into `chunks_per_device`
-//! chunks so each device's local phase itself has thread parallelism.
-//!
-//! Device adversity is handled here, not above: a launch that dies with
-//! `DeviceLost` marks the device lost in the pool and the whole solve is
-//! replanned over the surviving devices; transient `DeviceFault`s retry.
+//! The pool as a partitioned-solve transport: one node whose healthy
+//! devices each take a contiguous span of rows.
+//! [`gpu_solvers::partitioned::solve_partitioned`] runs the pipeline
+//! (local reduction on every device, one interface solve, then the
+//! back-substitution fan-out) and replans around a device that dies
+//! mid-solve: `DeviceLost` marks it lost here, and transient faults
+//! retry.
 
-use gpu_solvers::partitioned::{
-    back_substitute, even_offsets, local_reduce, solve_interface, InterfaceSystem,
-    PartitionedTiming, MIN_CHUNK,
-};
-use tridiag_core::{Real, Result, TridiagError, TridiagonalSystem};
+use gpu_sim::Launcher;
+use gpu_solvers::partitioned::Transport;
 
 use crate::pool::DevicePool;
 
-/// Outcome of a pool-wide partitioned solve.
-#[derive(Debug, Clone)]
-pub struct PoolPartitionedReport<T> {
-    /// Solution vector, natural order.
-    pub x: Vec<T>,
-    /// Devices that executed the local/back-substitution phases, in span
-    /// order (devices lost during the solve do not appear).
-    pub devices_used: Vec<usize>,
-    /// `[start, end)` of each device's span, same order as
-    /// [`devices_used`](Self::devices_used).
-    pub spans: Vec<(usize, usize)>,
-    /// Total chunks across all spans.
-    pub chunks_total: usize,
-    /// Meaningful interface rows (`2 × chunks_total`).
-    pub interface_rows: usize,
-    /// Padded interface size PCR solved.
-    pub interface_padded: usize,
-    /// Phase timings (max across devices for the parallel phases).
-    pub timing: PartitionedTiming,
-}
-
-/// One device's share of the plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SpanPlan {
-    device: usize,
-    start: usize,
-    end: usize,
-    /// Chunk boundaries *relative to the span*.
-    offsets: Vec<usize>,
-}
-
-/// Cuts `n` rows into per-device spans and per-span chunk offsets such
-/// that every chunk has at least [`MIN_CHUNK`] rows and the gathered
-/// interface system fits one PCR block (`2 × chunks`, padded, `<= cap`).
-/// Uses a prefix of `devices` when `n` is too small to feed them all.
-fn plan_spans(
-    n: usize,
-    devices: &[usize],
-    chunks_per_device: usize,
-    cap: usize,
-) -> Result<Vec<SpanPlan>> {
-    if chunks_per_device == 0 {
-        return Err(TridiagError::InvalidConfig { what: "chunks_per_device must be >= 1" });
-    }
-    if n < MIN_CHUNK {
-        return Err(TridiagError::SizeTooSmall { n, min: MIN_CHUNK });
-    }
-    if cap < 2 {
-        return Err(TridiagError::InvalidConfig { what: "interface cap below one chunk" });
-    }
-    // How many devices can hold at least one chunk each.
-    let used = devices.len().min(n / MIN_CHUNK).max(1);
-    // Interface budget: padded (2 * total chunks) <= cap.
-    let max_total_chunks = cap / 2;
-    let cpd = chunks_per_device.min(max_total_chunks / used).max(1);
-    let (base, rem) = (n / used, n % used);
-    let mut plans = Vec::with_capacity(used);
-    let mut start = 0;
-    for (slot, &device) in devices.iter().take(used).enumerate() {
-        let len = base + usize::from(slot < rem);
-        let chunks = cpd.min(len / MIN_CHUNK).max(1);
-        let offsets = even_offsets(len, chunks)?;
-        plans.push(SpanPlan { device, start, end: start + len, offsets });
-        start += len;
-    }
-    debug_assert_eq!(start, n);
-    Ok(plans)
-}
-
-/// Solves `system` across the pool's healthy devices, re-planning around
-/// devices that die mid-solve. `chunks_per_device` is the target chunk
-/// count per span (clamped so every chunk keeps [`MIN_CHUNK`] rows and
-/// the interface system fits one PCR block).
-pub fn solve_partitioned<T: Real>(
-    pool: &DevicePool,
-    system: &TridiagonalSystem<T>,
-    chunks_per_device: usize,
-) -> Result<PoolPartitionedReport<T>> {
-    // Each replan can lose at most one device; a few extra attempts absorb
-    // transient faults on top.
-    let mut attempts = pool.len() + 3;
-    loop {
-        let healthy = pool.healthy();
-        if healthy.is_empty() {
-            return Err(TridiagError::DeviceLost);
-        }
-        match try_solve(pool, &healthy, system, chunks_per_device) {
-            Ok(report) => return Ok(report),
-            Err((culprit, err)) => {
-                attempts -= 1;
-                let lost = matches!(err, TridiagError::DeviceLost);
-                if lost {
-                    if let Some(dev) = culprit {
-                        pool.mark_lost(dev);
-                    }
-                }
-                if attempts == 0 || !(lost || err.is_device_fault()) {
-                    return Err(err);
-                }
-            }
-        }
-    }
-}
-
-type PhaseError = (Option<usize>, TridiagError);
-
-fn try_solve<T: Real>(
-    pool: &DevicePool,
-    healthy: &[usize],
-    system: &TridiagonalSystem<T>,
-    chunks_per_device: usize,
-) -> core::result::Result<PoolPartitionedReport<T>, PhaseError> {
-    let iface_device = &pool.device(healthy[0]).launcher.device;
-    let cap = InterfaceSystem::<T>::max_padded_rows(T::BYTES, iface_device);
-    let plans = plan_spans(system.n(), healthy, chunks_per_device, cap).map_err(|e| (None, e))?;
-
-    // Local reduction: parallel across devices — phase cost is the max.
-    let mut phases = Vec::with_capacity(plans.len());
-    let (mut local_ms, mut upload_ms) = (0.0f64, 0.0f64);
-    for plan in &plans {
-        let dev = pool.device(plan.device);
-        let (s, e) = (plan.start, plan.end);
-        let phase = local_reduce(
-            &dev.launcher,
-            &system.a[s..e],
-            &system.b[s..e],
-            &system.c[s..e],
-            &system.d[s..e],
-            &plan.offsets,
-        )
-        .map_err(|err| (Some(plan.device), err))?;
-        dev.note_dispatched(phase.local_ms);
-        local_ms = local_ms.max(phase.local_ms);
-        upload_ms = upload_ms.max(phase.upload_ms);
-        phases.push(phase);
+impl Transport for DevicePool {
+    fn nodes(&self) -> Vec<(usize, Vec<usize>)> {
+        vec![(0, self.healthy())]
     }
 
-    // Gather the reduced rows (span order == global chunk order).
-    let total_chunks: usize = phases.iter().map(|p| p.reduced.0.len() / 2).sum();
-    let mut ra = Vec::with_capacity(2 * total_chunks);
-    let mut rb = Vec::with_capacity(2 * total_chunks);
-    let mut rc = Vec::with_capacity(2 * total_chunks);
-    let mut rd = Vec::with_capacity(2 * total_chunks);
-    for p in &phases {
-        ra.extend_from_slice(&p.reduced.0);
-        rb.extend_from_slice(&p.reduced.1);
-        rc.extend_from_slice(&p.reduced.2);
-        rd.extend_from_slice(&p.reduced.3);
+    fn launcher(&self, _node: usize, device: usize) -> &Launcher {
+        &self.device(device).launcher
     }
-    let interface = InterfaceSystem::assemble(&ra, &rb, &rc, &rd);
-    let (xi, interface_ms) = solve_interface(&pool.device(healthy[0]).launcher, &interface)
-        .map_err(|err| (Some(healthy[0]), err))?;
-    pool.device(healthy[0]).note_dispatched(interface_ms);
 
-    // Fan the interface solution back out; back-substitute in parallel.
-    let mut x = Vec::with_capacity(system.n());
-    let (mut backsubst_ms, mut download_ms) = (0.0f64, 0.0f64);
-    let mut row = 0;
-    for (plan, phase) in plans.iter().zip(phases.iter_mut()) {
-        let dev = pool.device(plan.device);
-        let rows = phase.reduced.0.len();
-        let (span_x, kernel_ms, dl_ms) =
-            back_substitute(&dev.launcher, phase, &xi[row..row + rows])
-                .map_err(|err| (Some(plan.device), err))?;
-        dev.note_dispatched(kernel_ms);
-        backsubst_ms = backsubst_ms.max(kernel_ms);
-        download_ms = download_ms.max(dl_ms);
-        x.extend_from_slice(&span_x);
-        row += rows;
+    fn lose_device(&self, _node: usize, device: usize) {
+        self.mark_lost(device);
     }
-    debug_assert_eq!(row, interface.rows);
 
-    Ok(PoolPartitionedReport {
-        x,
-        devices_used: plans.iter().map(|p| p.device).collect(),
-        spans: plans.iter().map(|p| (p.start, p.end)).collect(),
-        chunks_total: total_chunks,
-        interface_rows: interface.rows,
-        interface_padded: interface.padded,
-        timing: PartitionedTiming {
-            local_ms,
-            interface_ms,
-            backsubst_ms,
-            transfer_ms: upload_ms + download_ms,
-        },
-    })
+    fn note_busy(&self, _node: usize, device: usize, ms: f64) {
+        self.device(device).note_dispatched(ms);
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::pool::PoolConfig;
     use gpu_sim::FaultConfig;
+    use gpu_solvers::partitioned::solve_partitioned;
     use tridiag_core::residual::l2_residual;
-    use tridiag_core::{Generator, Workload};
-
-    #[test]
-    fn plan_covers_n_with_min_chunks_and_cap() {
-        let plans = plan_spans(1000, &[0, 1, 2, 3], 8, 512).unwrap();
-        assert_eq!(plans.len(), 4);
-        assert_eq!(plans[0].start, 0);
-        assert_eq!(plans.last().unwrap().end, 1000);
-        for w in plans.windows(2) {
-            assert_eq!(w[0].end, w[1].start, "spans must tile");
-        }
-        let chunks: usize = plans.iter().map(|p| p.offsets.len() - 1).sum();
-        assert!(2 * chunks <= 512);
-        // Tiny system: falls back to fewer devices than offered.
-        let plans = plan_spans(7, &[0, 1, 2, 3], 8, 512).unwrap();
-        assert!(plans.len() <= 3, "7 rows cannot feed 4 chunks of >= 2: {plans:?}");
-        assert_eq!(plans.last().unwrap().end, 7);
-    }
-
-    #[test]
-    fn plan_respects_interface_cap() {
-        // cap 16 → at most 8 chunks total across 4 devices → 2 per device.
-        let plans = plan_spans(4096, &[0, 1, 2, 3], 64, 16).unwrap();
-        let chunks: usize = plans.iter().map(|p| p.offsets.len() - 1).sum();
-        assert!(chunks <= 8, "total chunks {chunks} must respect the cap");
-    }
+    use tridiag_core::{Generator, TridiagError, TridiagonalSystem, Workload};
 
     #[test]
     fn four_device_solve_matches_gep() {
@@ -254,8 +48,8 @@ mod tests {
         for i in 0..n {
             assert!((report.x[i] - x_ref[i]).abs() < 1e-9, "i={i}");
         }
-        assert_eq!(report.devices_used, vec![0, 1, 2, 3]);
-        assert_eq!(report.spans.last().unwrap().1, n);
+        assert_eq!(report.spans.iter().map(|s| s.device).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        assert_eq!(report.spans.last().unwrap().end, n);
         // Every device did local + back-subst work.
         for d in pool.devices() {
             assert!(d.dispatched() >= 2, "device {} dispatched {}", d.id, d.dispatched());
@@ -273,7 +67,7 @@ mod tests {
         let pool = cfg.build();
         let report = solve_partitioned(&pool, &sys, 4).unwrap();
         assert!(pool.is_lost(2), "the dead device must be marked lost");
-        assert!(!report.devices_used.contains(&2), "replan must avoid the dead device");
+        assert!(report.spans.iter().all(|s| s.device != 2), "replan must avoid the dead device");
         let r = l2_residual(&sys, &report.x).unwrap();
         assert!(r < 1e-8, "residual {r}");
     }

@@ -4,7 +4,8 @@
 //! awkward (non-power-of-two) sizes, uneven chunk splits, and sizes far
 //! beyond one block's shared memory (n up to 2^16).
 
-use device_pool::{solve_partitioned, PoolConfig, RoutingPolicy};
+use device_pool::{PoolConfig, RoutingPolicy};
+use gpu_solvers::partitioned::solve_partitioned;
 use tridiag_core::residual::l2_residual;
 use tridiag_core::{Generator, TridiagonalSystem, Workload};
 
@@ -42,8 +43,8 @@ fn partitioned_matches_gep_across_pool_sizes() {
                 &report.x,
                 &format!("devices={devices} n={n} cpd={chunks_per_device} seed={seed}"),
             );
-            assert_eq!(report.spans.last().unwrap().1, n, "spans must cover the system");
-            assert_eq!(report.interface_rows, 2 * report.chunks_total);
+            assert_eq!(report.spans.last().unwrap().end, n, "spans must cover the system");
+            assert_eq!(report.interface_rows, 2 * report.chunks);
         }
     }
 }
@@ -59,7 +60,7 @@ fn uneven_spans_from_non_divisible_sizes_stay_accurate() {
         let pool =
             PoolConfig { routing: RoutingPolicy::LeastLoaded, ..PoolConfig::new(devices) }.build();
         let report = solve_partitioned(&pool, &sys, 5).unwrap();
-        let lens: Vec<usize> = report.spans.iter().map(|(s, e)| e - s).collect();
+        let lens: Vec<usize> = report.spans.iter().map(|s| s.end - s.start).collect();
         assert!(lens.iter().any(|&l| l != lens[0]), "spans should be uneven: {lens:?}");
         assert_matches_gep(&sys, &report.x, &format!("uneven devices={devices}"));
     }

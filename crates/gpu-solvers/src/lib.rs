@@ -54,9 +54,9 @@ pub use dominance::{cr_level_ratio_bound, levels_until_ratio};
 pub use global_only::GlobalCrKernel;
 pub use hybrid::{HybridKernel, InnerSolver};
 pub use partitioned::{
-    back_substitute, even_offsets, local_reduce, solve_interface, solve_partitioned_single,
-    solve_partitioned_single_with_offsets, BackSubstKernel, InterfaceSystem, LocalPhase,
-    LocalReduceKernel, PartitionedReport, PartitionedTiming, MIN_CHUNK,
+    back_substitute, even_offsets, local_reduce, solve_interface, solve_partitioned,
+    BackSubstKernel, InterfaceSystem, LocalPhase, LocalReduceKernel, PartitionedReport,
+    PartitionedTiming, Span, Transport, MIN_CHUNK,
 };
 pub use pcr::PcrKernel;
 pub use pcr_thomas::PcrThomasKernel;

@@ -1,11 +1,13 @@
-//! Substructuring (partitioned) solver kernels for systems too large for
-//! one block's shared memory — the "coarse-grained sub-structuring" the
-//! paper sets aside for multi-core, rebuilt here as the **local phase of a
-//! cross-device solve** (see `device-pool`): the system is cut into
-//! chunks; a *modified Thomas* pass reduces every chunk to two interface
-//! equations; the resulting **tridiagonal** interface system (two rows per
-//! chunk) is solved with the in-shared-memory PCR kernel; and a final
-//! embarrassingly-parallel pass back-substitutes every interior unknown.
+//! Substructuring (partitioned) solver for systems too large for one
+//! block's shared memory — the "coarse-grained sub-structuring" the paper
+//! sets aside for multi-core, rebuilt here as the large-n path: the system
+//! is cut into chunks; a *modified Thomas* pass reduces every chunk to two
+//! interface equations; the resulting **tridiagonal** interface system
+//! (two rows per chunk) is solved with the in-shared-memory PCR kernel;
+//! and a final embarrassingly-parallel pass back-substitutes every
+//! interior unknown. [`solve_partitioned`] runs that pipeline once for
+//! every topology, generic over a [`Transport`]: a bare [`Launcher`], a
+//! device pool or a cluster coordinator.
 //!
 //! Math (per chunk of rows `0..m`, writing `x_f`/`x_l` for the chunk's
 //! first/last unknown):
@@ -395,34 +397,54 @@ fn by_threads_and_shared(bytes_per_elem: usize, device: &gpu_sim::DeviceConfig) 
     by_threads.min(by_shared)
 }
 
-/// Simulated timings of one partitioned solve, phase by phase. Multi-device
-/// runs take the **max** across devices for the parallel phases (local
-/// reduction, back-substitution) and add the serial interface solve.
+/// Simulated timings of one partitioned solve, phase by phase. The
+/// parallel phases (local reduction, back-substitution) take the **max**
+/// across devices; the interface solve is serial on one device.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PartitionedTiming {
-    /// Local modified-Thomas reduction (parallel across devices → max).
+    /// Local modified-Thomas reduction (max across devices).
     pub local_ms: f64,
     /// Interface PCR solve (one device, serial).
     pub interface_ms: f64,
-    /// Back-substitution fan-out (parallel across devices → max).
+    /// Back-substitution fan-out (max across devices).
     pub backsubst_ms: f64,
-    /// PCIe traffic (parallel per device → max of per-device sums).
+    /// PCIe traffic: the max upload plus the max download across devices.
     pub transfer_ms: f64,
+    /// Inter-node network time: for each of the two fans (reduction,
+    /// back-substitution) the max across remote nodes of request plus
+    /// response legs, summed. 0 off-cluster.
+    pub net_ms: f64,
 }
 
 impl PartitionedTiming {
     /// End-to-end simulated milliseconds.
     pub fn total_ms(&self) -> f64 {
-        self.local_ms + self.interface_ms + self.backsubst_ms + self.transfer_ms
+        self.local_ms + self.interface_ms + self.backsubst_ms + self.transfer_ms + self.net_ms
     }
 }
 
+/// One device's rows in a partitioned solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// Node holding the device (0 off-cluster).
+    pub node: usize,
+    /// Device within the node.
+    pub device: usize,
+    /// First row.
+    pub start: usize,
+    /// One past the last row.
+    pub end: usize,
+}
+
 /// Outcome of a partitioned solve.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionedReport<T> {
     /// The solution vector, natural (non-interleaved) order.
     pub x: Vec<T>,
-    /// Chunks the system was cut into.
+    /// Each device's rows, in row order. Devices lost and nodes excluded
+    /// during the solve do not appear.
+    pub spans: Vec<Span>,
+    /// Chunks the system was cut into, across all devices.
     pub chunks: usize,
     /// Meaningful interface rows (`2 × chunks`).
     pub interface_rows: usize,
@@ -433,17 +455,16 @@ pub struct PartitionedReport<T> {
 }
 
 /// Per-device state of the local phase: everything the interface gather
-/// and the back-substitution fan-out need. `device-pool` drives one of
-/// these per device; [`solve_partitioned_single`] drives one for the whole
-/// system.
+/// and the back-substitution fan-out need. [`solve_partitioned`] drives
+/// one of these per device.
 pub struct LocalPhase<T: Real> {
     /// The device memory holding this span's arrays.
     pub gmem: GlobalMem<T>,
     /// Chunk boundaries within the span.
     pub offsets: Vec<usize>,
     /// Reduced interface rows of this span's chunks (`2 × chunks` each),
-    /// in `(ra, rb, rc, rd)` order.
-    pub reduced: (Vec<T>, Vec<T>, Vec<T>, Vec<T>),
+    /// in `[ra, rb, rc, rd]` order.
+    pub reduced: [Vec<T>; 4],
     /// Simulated kernel ms of the local reduction.
     pub local_ms: f64,
     /// PCIe ms spent uploading the span (simulated).
@@ -492,12 +513,7 @@ pub fn local_reduce<T: Real>(
     let report = launcher.launch(&kernel, blocks, &mut gmem)?;
     let upload_bytes = 4 * n * T::BYTES;
     let upload_ms = launcher.cost.pcie_seconds(upload_bytes as u64) * 1e3;
-    let reduced = (
-        gmem.download(kernel.ra),
-        gmem.download(kernel.rb),
-        gmem.download(kernel.rc),
-        gmem.download(kernel.rd),
-    );
+    let reduced = [kernel.ra, kernel.rb, kernel.rc, kernel.rd].map(|r| gmem.download(r));
     Ok(LocalPhase {
         at: kernel.at,
         ct: kernel.ct,
@@ -576,45 +592,286 @@ pub fn solve_interface<T: Real>(
     Ok((xi, report.timing.kernel_ms))
 }
 
-/// Whole partitioned pipeline on **one** launcher (the single-device
-/// reference; `device-pool` runs the same phases across many launchers).
-pub fn solve_partitioned_single<T: Real>(
-    launcher: &Launcher,
-    system: &TridiagonalSystem<T>,
-    chunks: usize,
-) -> Result<PartitionedReport<T>> {
-    let offsets = even_offsets(system.n(), chunks)?;
-    solve_partitioned_single_with_offsets(launcher, system, &offsets)
+/// Where the phases of a partitioned solve run: a node → device topology
+/// plus the transport between nodes. A bare [`Launcher`] is one node with
+/// one device and no network; `device_pool` implements this for a pool
+/// (one node, its healthy devices) and `cluster` for a coordinator's view
+/// of a cluster (remote nodes behind priced, retried RPCs).
+pub trait Transport {
+    /// Nodes that can take work now, each with its healthy devices, in
+    /// row order.
+    fn nodes(&self) -> Vec<(usize, Vec<usize>)>;
+
+    /// The launcher serving `device` on `node`.
+    fn launcher(&self, node: usize, device: usize) -> &Launcher;
+
+    /// Runs one phase's `work` for `node`, shipping `up` bytes to it and
+    /// `down` bytes back. Returns the result with the network ms it was
+    /// priced at, or `None` when the node could not be reached. `work`
+    /// may run more than once. The default runs it inline, for free.
+    fn run_on<R>(
+        &self,
+        _node: usize,
+        _up: usize,
+        _down: usize,
+        mut work: impl FnMut() -> R,
+    ) -> Option<(R, f64)> {
+        Some((work(), 0.0))
+    }
+
+    /// Marks a device lost after it failed with
+    /// [`TridiagError::DeviceLost`], so [`nodes`](Self::nodes) drops it.
+    fn lose_device(&self, _node: usize, _device: usize) {}
+
+    /// The node that solves the interface while it can take work (the
+    /// first node does otherwise).
+    fn home(&self) -> usize {
+        0
+    }
+
+    /// Books `ms` of simulated kernel time against a device.
+    fn note_busy(&self, _node: usize, _device: usize, _ms: f64) {}
+
+    /// Called once the interface (`rows` rows of an `n`-row system) is
+    /// solved on `node`, before the fan-out.
+    fn interface_solved(&self, _n: usize, _rows: usize, _node: usize) {}
 }
 
-/// [`solve_partitioned_single`] with explicit (possibly uneven) chunk
-/// boundaries.
-pub fn solve_partitioned_single_with_offsets<T: Real>(
-    launcher: &Launcher,
+impl Transport for Launcher {
+    fn nodes(&self) -> Vec<(usize, Vec<usize>)> {
+        // A bare launcher keeps no lost flag; its fault plan remembers.
+        let lost = self.fault.as_ref().is_some_and(|plan| plan.stats().device_lost_failures > 0);
+        vec![(0, if lost { Vec::new() } else { vec![0] })]
+    }
+
+    fn launcher(&self, _node: usize, _device: usize) -> &Launcher {
+        self
+    }
+}
+
+/// One device's share of a plan: its span and its chunk boundaries
+/// relative to the span.
+#[derive(Debug)]
+struct Share {
+    span: Span,
+    offsets: Vec<usize>,
+}
+
+/// One node's share of a plan: its rows and its devices' shares.
+#[derive(Debug)]
+struct NodePlan {
+    node: usize,
+    start: usize,
+    end: usize,
+    shares: Vec<Share>,
+}
+
+/// Cuts `n` rows node → device → chunk, each level a near-equal cut.
+/// `nodes` lists each node with its (non-empty) healthy devices. Every
+/// chunk keeps [`MIN_CHUNK`] rows, and the padded interface
+/// (`2 × total chunks`) fits `cap`: the chunk budget `cap / 2` caps the
+/// devices per node, then the chunks per device. Uses a prefix of the
+/// nodes, and of each node's devices, when `n` is too small to feed them
+/// all.
+fn plan(
+    n: usize,
+    nodes: &[(usize, Vec<usize>)],
+    chunks_per_device: usize,
+    cap: usize,
+) -> Result<Vec<NodePlan>> {
+    if chunks_per_device == 0 {
+        return Err(TridiagError::InvalidConfig { what: "chunks_per_device must be >= 1" });
+    }
+    if n < MIN_CHUNK {
+        return Err(TridiagError::SizeTooSmall { n, min: MIN_CHUNK });
+    }
+    if cap < 2 {
+        return Err(TridiagError::InvalidConfig { what: "interface cap below one chunk" });
+    }
+    let used = nodes.len().min(n / MIN_CHUNK);
+    let max_total_chunks = cap / 2;
+    let max_devs_per_node = (max_total_chunks / used).max(1);
+    let total_devices: usize =
+        nodes.iter().take(used).map(|(_, d)| d.len().min(max_devs_per_node)).sum();
+    let cpd = chunks_per_device.min((max_total_chunks / total_devices).max(1));
+    let node_cuts = even_offsets(n, used)?;
+    let mut plans = Vec::with_capacity(used);
+    for ((node, devices), cut) in nodes.iter().zip(node_cuts.windows(2)) {
+        let (start, end) = (cut[0], cut[1]);
+        let devs = devices.len().min(max_devs_per_node).min((end - start) / MIN_CHUNK);
+        let device_cuts = even_offsets(end - start, devs)?;
+        let shares = devices
+            .iter()
+            .zip(device_cuts.windows(2))
+            .map(|(&device, w)| {
+                let len = w[1] - w[0];
+                let span = Span { node: *node, device, start: start + w[0], end: start + w[1] };
+                Ok(Share { span, offsets: even_offsets(len, cpd.min(len / MIN_CHUNK))? })
+            })
+            .collect::<Result<_>>()?;
+        plans.push(NodePlan { node: *node, start, end, shares });
+    }
+    Ok(plans)
+}
+
+/// Why one attempt at a partitioned solve failed.
+enum Failure {
+    /// The node could not be reached: exclude it for this solve.
+    Node(usize),
+    /// A launch on `(node, device)` failed.
+    Launch(usize, usize, TridiagError),
+    /// The system cannot be planned.
+    Plan(TridiagError),
+}
+
+/// Solves `system` across `transport`: plan → local reduction on every
+/// device → gather → interface solve → back-substitution fan-out.
+/// `chunks_per_device` is the target chunk count per device, clamped so
+/// every chunk keeps [`MIN_CHUNK`] rows and the interface fits one PCR
+/// block. Failures replan: a transient fault retries, `DeviceLost` marks
+/// the device lost, and an unreachable node is excluded for this solve.
+/// The attempt budget covers losing every node and every device once,
+/// plus three transient retries.
+///
+/// # Errors
+/// [`TridiagError::DeviceLost`] when nothing is left to run on, the last
+/// device error when the budget runs out, and planning or non-device
+/// launch errors at once.
+pub fn solve_partitioned<T: Real>(
+    transport: &impl Transport,
     system: &TridiagonalSystem<T>,
-    offsets: &[usize],
+    chunks_per_device: usize,
 ) -> Result<PartitionedReport<T>> {
-    let mut phase = local_reduce(launcher, &system.a, &system.b, &system.c, &system.d, offsets)?;
-    let (ra, rb, rc, rd) = (
-        phase.reduced.0.clone(),
-        phase.reduced.1.clone(),
-        phase.reduced.2.clone(),
-        phase.reduced.3.clone(),
-    );
-    let interface = InterfaceSystem::assemble(&ra, &rb, &rc, &rd);
-    let (xi, interface_ms) = solve_interface(launcher, &interface)?;
-    let (x, backsubst_ms, download_ms) = back_substitute(launcher, &mut phase, &xi)?;
+    let mut attempts = transport.nodes().iter().map(|(_, d)| 1 + d.len()).sum::<usize>() + 3;
+    let mut excluded = Vec::new();
+    let mut last_err = TridiagError::DeviceLost;
+    loop {
+        let mut nodes = transport.nodes();
+        nodes.retain(|(node, devices)| !devices.is_empty() && !excluded.contains(node));
+        if nodes.is_empty() {
+            return Err(last_err);
+        }
+        match attempt(transport, &nodes, system, chunks_per_device) {
+            Ok(report) => return Ok(report),
+            Err(Failure::Node(node)) => {
+                excluded.push(node);
+                last_err = TridiagError::DeviceLost;
+            }
+            Err(Failure::Launch(node, device, err)) if err.is_device_fault() => {
+                if err == TridiagError::DeviceLost {
+                    transport.lose_device(node, device);
+                }
+                last_err = err;
+            }
+            Err(Failure::Launch(_, _, err) | Failure::Plan(err)) => return Err(err),
+        }
+        attempts -= 1;
+        if attempts == 0 {
+            return Err(last_err);
+        }
+    }
+}
+
+/// One pass of the pipeline over a fixed set of nodes.
+fn attempt<T: Real>(
+    transport: &impl Transport,
+    nodes: &[(usize, Vec<usize>)],
+    system: &TridiagonalSystem<T>,
+    chunks_per_device: usize,
+) -> core::result::Result<PartitionedReport<T>, Failure> {
+    let (iface_node, devices) =
+        nodes.iter().find(|(node, _)| *node == transport.home()).unwrap_or(&nodes[0]);
+    let (iface_node, iface_device) = (*iface_node, devices[0]);
+    let iface = transport.launcher(iface_node, iface_device);
+    let cap = InterfaceSystem::<T>::max_padded_rows(T::BYTES, &iface.device);
+    let plan = plan(system.n(), nodes, chunks_per_device, cap).map_err(Failure::Plan)?;
+    let mut timing = PartitionedTiming::default();
+    let (mut upload_ms, mut download_ms) = (0.0f64, 0.0f64);
+    let (mut reduce_net_ms, mut scatter_net_ms) = (0.0f64, 0.0f64);
+
+    // Local reduction, node by node: the four coefficient arrays go out,
+    // the reduced rows come back.
+    let mut phases: Vec<Vec<LocalPhase<T>>> = Vec::with_capacity(plan.len());
+    for node in &plan {
+        let reduce = || {
+            node.shares
+                .iter()
+                .map(|share| {
+                    let Span { node, device, start: s, end: e } = share.span;
+                    let (a, b, c, d) =
+                        (&system.a[s..e], &system.b[s..e], &system.c[s..e], &system.d[s..e]);
+                    let phase =
+                        local_reduce(transport.launcher(node, device), a, b, c, d, &share.offsets)
+                            .map_err(|err| Failure::Launch(node, device, err))?;
+                    transport.note_busy(node, device, phase.local_ms);
+                    timing.local_ms = timing.local_ms.max(phase.local_ms);
+                    upload_ms = upload_ms.max(phase.upload_ms);
+                    Ok(phase)
+                })
+                .collect::<core::result::Result<Vec<_>, Failure>>()
+        };
+        let chunks: usize = node.shares.iter().map(|s| s.offsets.len() - 1).sum();
+        let (up, down) = (4 * (node.end - node.start) * T::BYTES, 8 * chunks * T::BYTES);
+        let (reduced, net_ms) =
+            transport.run_on(node.node, up, down, reduce).ok_or(Failure::Node(node.node))?;
+        reduce_net_ms = reduce_net_ms.max(net_ms);
+        phases.push(reduced?);
+    }
+
+    // Gather: node order, then device order, is the global chunk order.
+    let mut rows: [Vec<T>; 4] = Default::default();
+    for phase in phases.iter().flatten() {
+        for (all, part) in rows.iter_mut().zip(&phase.reduced) {
+            all.extend_from_slice(part);
+        }
+    }
+    let interface = InterfaceSystem::assemble(&rows[0], &rows[1], &rows[2], &rows[3]);
+    let (xi, interface_ms) = solve_interface(iface, &interface)
+        .map_err(|err| Failure::Launch(iface_node, iface_device, err))?;
+    transport.note_busy(iface_node, iface_device, interface_ms);
+    timing.interface_ms = interface_ms;
+    transport.interface_solved(system.n(), interface.rows, iface_node);
+
+    // Fan out, node by node: the node's slice of the interface solution
+    // goes out, its back-substituted rows come back.
+    let mut x = vec![T::ZERO; system.n()];
+    let mut row = 0;
+    for (node, node_phases) in plan.iter().zip(&mut phases) {
+        let node_rows: usize = node_phases.iter().map(|p| p.reduced[0].len()).sum();
+        let xi = &xi[row..row + node_rows];
+        let fan_out = || -> core::result::Result<(), Failure> {
+            let mut r = 0;
+            for (share, phase) in node.shares.iter().zip(node_phases.iter_mut()) {
+                let Span { node, device, start, end } = share.span;
+                let rows = phase.reduced[0].len();
+                let (span_x, kernel_ms, dl_ms) =
+                    back_substitute(transport.launcher(node, device), phase, &xi[r..r + rows])
+                        .map_err(|err| Failure::Launch(node, device, err))?;
+                transport.note_busy(node, device, kernel_ms);
+                timing.backsubst_ms = timing.backsubst_ms.max(kernel_ms);
+                download_ms = download_ms.max(dl_ms);
+                x[start..end].copy_from_slice(&span_x);
+                r += rows;
+            }
+            Ok(())
+        };
+        let (up, down) = (node_rows * T::BYTES, (node.end - node.start) * T::BYTES);
+        let (done, net_ms) =
+            transport.run_on(node.node, up, down, fan_out).ok_or(Failure::Node(node.node))?;
+        done?;
+        scatter_net_ms = scatter_net_ms.max(net_ms);
+        row += node_rows;
+    }
+    debug_assert_eq!(row, interface.rows);
+    timing.transfer_ms = upload_ms + download_ms;
+    timing.net_ms = reduce_net_ms + scatter_net_ms;
     Ok(PartitionedReport {
         x,
-        chunks: offsets.len() - 1,
+        spans: plan.iter().flat_map(|node| node.shares.iter().map(|s| s.span)).collect(),
+        chunks: interface.rows / 2,
         interface_rows: interface.rows,
         interface_padded: interface.padded,
-        timing: PartitionedTiming {
-            local_ms: phase.local_ms,
-            interface_ms,
-            backsubst_ms,
-            transfer_ms: phase.upload_ms + download_ms,
-        },
+        timing,
     })
 }
 
@@ -651,7 +908,7 @@ mod tests {
     fn matches_thomas_for_many_shapes() {
         for (n, chunks) in [(8usize, 1usize), (8, 2), (16, 4), (64, 8), (257, 5), (1024, 16)] {
             let sys = dominant(n as u64, n);
-            let report = solve_partitioned_single(&Launcher::gtx280(), &sys, chunks).unwrap();
+            let report = solve_partitioned(&Launcher::gtx280(), &sys, chunks).unwrap();
             let x_ref = cpu_solvers::thomas::solve(&sys).unwrap();
             for i in 0..n {
                 assert!(
@@ -666,14 +923,28 @@ mod tests {
         }
     }
 
+    /// The pipeline on one launcher with explicit chunk boundaries, driven
+    /// phase by phase.
+    fn solve_with_offsets(sys: &TridiagonalSystem<f64>, offsets: &[usize]) -> Vec<f64> {
+        let launcher = Launcher::gtx280();
+        let mut phase = local_reduce(&launcher, &sys.a, &sys.b, &sys.c, &sys.d, offsets).unwrap();
+        let [ra, rb, rc, rd] = &phase.reduced;
+        let interface = InterfaceSystem::assemble(ra, rb, rc, rd);
+        let (xi, _) = solve_interface(&launcher, &interface).unwrap();
+        back_substitute(&launcher, &mut phase, &xi).unwrap().0
+    }
+
     #[test]
     fn uneven_offsets_agree_with_even_ones() {
         let sys = dominant(3, 100);
-        let uneven =
-            solve_partitioned_single_with_offsets(&Launcher::gtx280(), &sys, &[0, 7, 50, 52, 100])
-                .unwrap();
-        let r = l2_residual(&sys, &uneven.x).unwrap();
+        let uneven = solve_with_offsets(&sys, &[0, 7, 50, 52, 100]);
+        let r = l2_residual(&sys, &uneven).unwrap();
         assert!(r < 1e-8, "residual {r}");
+        let even = solve_with_offsets(&sys, &even_offsets(100, 4).unwrap());
+        assert_eq!(even, solve_partitioned(&Launcher::gtx280(), &sys, 4).unwrap().x);
+        for (u, e) in uneven.iter().zip(&even) {
+            assert!((u - e).abs() < 1e-9, "{u} vs {e}");
+        }
     }
 
     #[test]
@@ -681,7 +952,7 @@ mod tests {
         // n = 2^16 is far past any shared-memory kernel's reach.
         let n = 1 << 16;
         let sys: TridiagonalSystem<f32> = Generator::new(9).system(Workload::DiagonallyDominant, n);
-        let report = solve_partitioned_single(&Launcher::gtx280(), &sys, 32).unwrap();
+        let report = solve_partitioned(&Launcher::gtx280(), &sys, 32).unwrap();
         let r = l2_residual(&sys, &report.x).unwrap();
         let d_norm: f64 = sys.d.iter().map(|&v| (v as f64) * (v as f64)).sum::<f64>().sqrt();
         let bound = 100.0 * d_norm * f32::EPSILON as f64 * n as f64;
@@ -691,10 +962,94 @@ mod tests {
 
     #[test]
     fn interface_cap_is_enforced() {
-        let sys = dominant(1, 2048);
-        // 512 chunks → 1024 interface rows > the f64 cap (256).
-        let err = solve_partitioned_single(&Launcher::gtx280(), &sys, 512).unwrap_err();
+        // 1024 interface rows > the f64 cap (256): the PCR block refuses.
+        let ones = vec![1.0f64; 1024];
+        let oversized = InterfaceSystem::assemble(&ones, &ones, &ones, &ones);
+        let err = solve_interface(&Launcher::gtx280(), &oversized).unwrap_err();
         assert!(matches!(err, TridiagError::InvalidConfig { .. }));
+        // The planner clamps 512 requested chunks to the cap's 128.
+        let sys = dominant(1, 2048);
+        let report = solve_partitioned(&Launcher::gtx280(), &sys, 512).unwrap();
+        assert_eq!((report.chunks, report.interface_padded), (128, 256));
+        assert!(l2_residual(&sys, &report.x).unwrap() < 1e-8);
+    }
+
+    fn chunks_of(plans: &[NodePlan]) -> usize {
+        plans.iter().flat_map(|p| &p.shares).map(|s| s.offsets.len() - 1).sum()
+    }
+
+    /// Spans tile `0..n` in row order, node by node.
+    fn assert_tiles(plans: &[NodePlan], n: usize) {
+        let spans: Vec<Span> = plans.iter().flat_map(|p| p.shares.iter().map(|s| s.span)).collect();
+        assert_eq!(spans[0].start, 0);
+        assert_eq!(spans.last().unwrap().end, n);
+        for w in spans.windows(2) {
+            assert_eq!(w[0].end, w[1].start, "spans must tile: {spans:?}");
+        }
+        for p in plans {
+            assert_eq!(
+                (p.start, p.end),
+                (p.shares[0].span.start, p.shares.last().unwrap().span.end)
+            );
+            assert!(p.shares.iter().all(|s| s.span.node == p.node));
+        }
+    }
+
+    #[test]
+    fn plan_covers_n_with_min_chunks_and_cap() {
+        // Pool-shaped: one node, four devices.
+        let pool = [(0, vec![0, 1, 2, 3])];
+        let plans = plan(1000, &pool, 8, 512).unwrap();
+        assert_eq!(plans[0].shares.len(), 4);
+        assert_tiles(&plans, 1000);
+        assert!(2 * chunks_of(&plans) <= 512);
+        // Tiny system: falls back to fewer devices than offered.
+        let plans = plan(7, &pool, 8, 512).unwrap();
+        assert!(plans[0].shares.len() <= 3, "7 rows cannot feed 4 chunks of >= 2: {plans:?}");
+        assert_tiles(&plans, 7);
+        // Cluster-shaped: three nodes of 2, 1 and 3 devices.
+        let cluster = [(0, vec![0, 1]), (2, vec![1]), (5, vec![0, 1, 2])];
+        let plans = plan(1001, &cluster, 4, 512).unwrap();
+        assert_eq!(plans.iter().map(|p| p.node).collect::<Vec<_>>(), vec![0, 2, 5]);
+        assert_eq!(plans.iter().map(|p| p.shares.len()).collect::<Vec<_>>(), vec![2, 1, 3]);
+        assert_tiles(&plans, 1001);
+        assert_eq!(chunks_of(&plans), 6 * 4);
+        // Tiny system: a prefix of the nodes, every chunk >= 2 rows.
+        let plans = plan(5, &cluster, 4, 512).unwrap();
+        assert_eq!(plans.len(), 2);
+        assert_tiles(&plans, 5);
+        for share in plans.iter().flat_map(|p| &p.shares) {
+            assert!(share.offsets.windows(2).all(|w| w[1] - w[0] >= MIN_CHUNK));
+        }
+    }
+
+    #[test]
+    fn plan_respects_interface_cap() {
+        // cap 16 → at most 8 chunks total across 4 devices → 2 per device.
+        let plans = plan(4096, &[(0, vec![0, 1, 2, 3])], 64, 16).unwrap();
+        assert_eq!(chunks_of(&plans), 8);
+        // Across nodes the budget caps devices per node first: 4 nodes × 8
+        // devices with cap 16 keep 2 devices per node, one chunk each.
+        let nodes: Vec<(usize, Vec<usize>)> = (0..4).map(|i| (i, (0..8).collect())).collect();
+        let plans = plan(1 << 16, &nodes, 64, 16).unwrap();
+        assert!(plans.iter().all(|p| p.shares.len() == 2));
+        assert_eq!(chunks_of(&plans), 8);
+        assert_tiles(&plans, 1 << 16);
+    }
+
+    #[test]
+    fn a_launcher_retries_transient_faults_and_stops_once_lost() {
+        let sys = dominant(2, 256);
+        let fault = |cfg| Some(std::sync::Arc::new(gpu_sim::FaultPlan::new(cfg)));
+        let mut flaky = Launcher::gtx280();
+        flaky.fault = fault(gpu_sim::FaultConfig { launch_fault_burst: 1, ..Default::default() });
+        let report = solve_partitioned(&flaky, &sys, 4).unwrap();
+        assert!(l2_residual(&sys, &report.x).unwrap() < 1e-8);
+        let mut dead = Launcher::gtx280();
+        dead.fault =
+            fault(gpu_sim::FaultConfig { device_lost_after: Some(0), ..Default::default() });
+        assert_eq!(solve_partitioned(&dead, &sys, 4).unwrap_err(), TridiagError::DeviceLost);
+        assert_eq!(dead.fault.as_ref().unwrap().stats().launches, 1, "no relaunch once lost");
     }
 
     #[test]
@@ -715,7 +1070,7 @@ mod tests {
     fn local_kernel_is_sanitizer_clean() {
         let sys = dominant(5, 96);
         let launcher = Launcher::gtx280().with_sanitize(gpu_sim::SanitizeOptions::record());
-        let report = solve_partitioned_single(&launcher, &sys, 6).unwrap();
+        let report = solve_partitioned(&launcher, &sys, 6).unwrap();
         let r = l2_residual(&sys, &report.x).unwrap();
         assert!(r < 1e-8, "residual {r}");
     }
