@@ -329,6 +329,7 @@ fn drive_solve(nodes: usize, n: usize, elementwise: bool, fault_burst: bool) -> 
     SolveCell {
         nodes,
         n,
+        // The retry row counts only if its fault actually fired.
         verified: elementwise_ok && residual < 1e-6 && launch_faults != Some(0),
         max_rel_err,
         residual,

@@ -779,9 +779,8 @@ fn attempt<T: Real>(
     system: &TridiagonalSystem<T>,
     chunks_per_device: usize,
 ) -> core::result::Result<PartitionedReport<T>, Failure> {
-    let (iface_node, devices) =
-        nodes.iter().find(|(node, _)| *node == transport.home()).unwrap_or(&nodes[0]);
-    let (iface_node, iface_device) = (*iface_node, devices[0]);
+    let home = nodes.iter().find(|(node, _)| *node == transport.home()).unwrap_or(&nodes[0]);
+    let (iface_node, iface_device) = (home.0, home.1[0]);
     let iface = transport.launcher(iface_node, iface_device);
     let cap = InterfaceSystem::<T>::max_padded_rows(T::BYTES, &iface.device);
     let plan = plan(system.n(), nodes, chunks_per_device, cap).map_err(Failure::Plan)?;
