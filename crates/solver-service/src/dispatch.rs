@@ -7,7 +7,12 @@
 //!    [`VerifyPolicy`], a keyed flush looks up the factor cache, and a
 //!    cold flush gets its engine, fallback ladder and sanitize decision.
 //! 2. **Run** — the engine alone, returning raw answers: the warm
-//!    back-substitution, CPU Thomas/GEP, or the GPU retry ladder.
+//!    back-substitution, CPU Thomas/GEP, or the GPU retry ladder. CPU
+//!    Thomas and the CPU warm sweep solve the flush eight systems at a
+//!    time ([`cpu_solvers::lockstep`]), reading each system where its
+//!    request holds it: full groups of eight take the lockstep sweep, the
+//!    remainder the scalar solver, and every answer is bit-identical to
+//!    solving the systems one at a time.
 //! 3. **Accept or repair** — [`accept_or_repair`], the one acceptance
 //!    rule, applied once to every answer.
 //! 4. **Account** — warm-entry invalidation, certificate revocation,
@@ -17,8 +22,8 @@
 //!
 //! 1. **Small flushes go to the CPU.** A linger-flushed batch of one or
 //!    two systems cannot amortize a kernel launch + PCIe round trip; below
-//!    `min_gpu_batch` the dispatcher overrides the cached plan with the
-//!    sequential Thomas solver.
+//!    `min_gpu_batch` the dispatcher overrides the cached plan with CPU
+//!    Thomas.
 //! 2. **Otherwise the [`PlanCache`] decides** — autotuned once per size
 //!    class, O(1) afterwards.
 //! 3. **Every answer is accepted or repaired.** Whatever engine ran,
@@ -59,7 +64,7 @@ use crate::metrics::ServiceMetrics;
 use crate::planner::{CpuEngine, Engine, PlanCache};
 use crate::request::SolveRequest;
 use crate::trace::{TraceEvent, TraceHandle};
-use cpu_solvers::{gep, thomas};
+use cpu_solvers::{gep, lockstep};
 use device_pool::DevicePool;
 use factor_cache::{FactorCache, FactorEntry, SharedFactorCache};
 use gpu_sim::{tick_duration, Clock, Launcher};
@@ -830,17 +835,16 @@ fn run_warm<T: Real>(
     }
     let mut solutions = SolutionBatch::from_flat(n, count, vec![T::ZERO; n * count])
         .expect("flush holds >=1 same-size systems");
-    for (i, sys) in systems.iter().enumerate() {
-        entry.thomas.solve_into(&sys.d, solutions.system_mut(i));
-    }
+    lockstep::solve_factored(&entry.thomas, &mut solutions, |k| &systems[k].d);
     let ms = cpu_engine_ms(&cfg.clock, sim_cpu_warm_ns(n, count), n, count, policy, started);
     Run { device_faults, degraded, ..Run::new(solutions, "cpu-warm".into(), ms, policy) }
 }
 
-/// Runs a CPU engine over every system. A system the engine cannot solve
-/// (a Thomas zero pivot, an exactly singular matrix for GEP) is left as
-/// NaN, so acceptance's guard catches it under every policy. GEP answers
-/// are never re-solved.
+/// Runs a CPU engine over every system: Thomas in lockstep groups (see
+/// [`lockstep`]), GEP one system at a time. A system the engine cannot
+/// solve (a Thomas zero pivot, an exactly singular matrix for GEP) is left
+/// as NaN, so acceptance's guard catches it under every policy. GEP
+/// answers are never re-solved.
 fn run_cpu<T: Real>(
     systems: &[&TridiagonalSystem<T>],
     cpu: CpuEngine,
@@ -851,14 +855,20 @@ fn run_cpu<T: Real>(
     let mut solutions = SolutionBatch::from_flat(n, count, vec![T::ZERO; n * count])
         .expect("flush holds >=1 same-size systems");
     let started = Instant::now();
-    for (i, sys) in systems.iter().enumerate() {
-        let x = solutions.system_mut(i);
-        let solved = match cpu {
-            CpuEngine::Thomas => thomas::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x),
-            CpuEngine::Gep => gep::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x),
-        };
-        if solved.is_err() {
-            x.fill(T::from_f64(f64::NAN));
+    match cpu {
+        CpuEngine::Thomas => {
+            lockstep::solve_thomas(&mut solutions, |k| {
+                let sys = systems[k];
+                (&sys.a, &sys.b, &sys.c, &sys.d)
+            });
+        }
+        CpuEngine::Gep => {
+            for (i, sys) in systems.iter().enumerate() {
+                let x = solutions.system_mut(i);
+                if gep::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x).is_err() {
+                    x.fill(T::from_f64(f64::NAN));
+                }
+            }
         }
     }
     let ms = cpu_engine_ms(clock, sim_cpu_ns(cpu, n, count), n, count, policy, started);
@@ -971,6 +981,44 @@ mod tests {
         let resp = ticket.try_take().unwrap();
         assert!(resp.repaired, "zero pivot must trigger GEP repair");
         assert!(resp.residual < 1e-2, "{}", resp.residual);
+        assert_eq!(metrics.snapshot(0, 0, 0).repaired, 1);
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_thomas_singular_system_in_a_lockstep_group_is_repaired_alone() {
+        // 16 systems: two full lockstep groups, lane 3 of the first singular
+        // for Thomas (b[0] = 0) but not for GEP.
+        let launcher = Launcher::gtx280();
+        let metrics = ServiceMetrics::new();
+        let pinned = DispatchConfig { pin_engine: Some(Engine::Cpu(CpuEngine::Thomas)), ..cfg() };
+        let (mut flush, tickets) = flush_of(64, 16, 15);
+        flush.requests[3].system.b[0] = 0.0;
+        let systems: Vec<TridiagonalSystem<f32>> =
+            flush.requests.iter().map(|r| r.system.clone()).collect();
+        serve_flush(
+            DeviceCtx::solo(&launcher),
+            &PlanCache::new(),
+            &CircuitBreakers::default(),
+            &metrics,
+            &pinned,
+            flush,
+        );
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            let resp = ticket.try_take().unwrap();
+            assert_eq!(resp.engine, "cpu-thomas", "system {i}");
+            if i == 3 {
+                assert!(resp.repaired, "GEP repairs the singular lane");
+                assert!(resp.residual < 1e-2, "{}", resp.residual);
+            } else {
+                let scalar = cpu_solvers::thomas::solve(&systems[i]).unwrap();
+                assert_eq!(bits(&resp.x), bits(&scalar), "system {i}");
+                assert!(!resp.repaired, "system {i}");
+            }
+        }
         assert_eq!(metrics.snapshot(0, 0, 0).repaired, 1);
     }
 
@@ -1445,6 +1493,41 @@ mod tests {
         assert_eq!(snap.factor_evictions, 0);
         assert!(snap.degradation.is_quiet(), "warm traffic is not degradation");
         assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn cpu_warm_flush_of_67_rhs_matches_the_scalar_sweep() {
+        // 67 right-hand sides: eight full lockstep groups and a remainder
+        // of three, all on the CPU sweep.
+        let launcher = Launcher::gtx280();
+        let cache = Arc::new(SharedFactorCache::new(8));
+        let warm_cfg = DispatchConfig {
+            factor_cache: Some(Arc::clone(&cache)),
+            min_gpu_batch: usize::MAX,
+            ..cfg()
+        };
+        let system: TridiagonalSystem<f32> =
+            Generator::new(67).system(Workload::DiagonallyDominant, 96);
+        let factors = cpu_solvers::ThomasFactors::factor(&system.a, &system.b, &system.c).unwrap();
+        for (seed, engine) in [(1, "cpu-thomas"), (2, "cpu-warm")] {
+            let (flush, tickets) = keyed_flush(&system, 67, seed);
+            let rhs: Vec<Vec<f32>> = flush.requests.iter().map(|r| r.system.d.clone()).collect();
+            serve_flush(
+                DeviceCtx::solo(&launcher),
+                &PlanCache::new(),
+                &CircuitBreakers::default(),
+                &ServiceMetrics::new(),
+                &warm_cfg,
+                flush,
+            );
+            for (i, ticket) in tickets.into_iter().enumerate() {
+                let resp = ticket.try_take().unwrap();
+                assert_eq!(resp.engine, engine, "flush {seed}, rhs {i}");
+                if engine == "cpu-warm" {
+                    assert_eq!(bits(&resp.x), bits(&factors.solve(&rhs[i])), "rhs {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! Scoring follows the repo's figure methodology: GPU candidates are
 //! scored by the simulator's cost model (`TimingReport::total_ms`, i.e.
 //! kernel + PCIe transfer), the CPU baseline by measured wall-clock of the
-//! sequential Thomas solve on the same probe batch. Non-power-of-two
-//! sizes, which no GPU kernel accepts, route straight to the CPU.
+//! lockstep Thomas sweep the dispatcher serves CPU flushes with, on the
+//! same probe batch (on a simulated clock, by the per-row model). Non-
+//! power-of-two sizes, which no GPU kernel accepts, route straight to the
+//! CPU.
 
 use gpu_sim::{Clock, Launcher};
 use gpu_solvers::{solve_batch, GpuAlgorithm};
@@ -27,8 +29,9 @@ use tridiag_core::{Generator, Real, SystemBatch, Workload};
 /// CPU execution engines the planner may pick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpuEngine {
-    /// Sequential Thomas algorithm (the paper's "GE" baseline) with
-    /// per-system GEP repair on verification failure.
+    /// The Thomas algorithm (the paper's "GE" baseline), run in lockstep
+    /// groups of eight systems, with per-system GEP repair on
+    /// verification failure.
     Thomas,
     /// Gaussian elimination with partial pivoting everywhere — chosen only
     /// as an explicit override, never by the tournament (it is strictly
@@ -280,10 +283,11 @@ fn cpu_probe<T: Real>(n: usize, count: usize) -> Option<SystemBatch<T>> {
     .ok()
 }
 
-/// Milliseconds for one sequential Thomas pass over `batch`: wall-clock
-/// (median of three runs, to shrug off scheduler noise) on a real clock,
-/// or the deterministic per-row model — matching the dispatcher's
-/// simulated CPU engine time — on a simulated one.
+/// Milliseconds for one Thomas pass over `batch`: on a real clock the
+/// wall-clock time of the lockstep sweep the dispatcher serves CPU
+/// flushes with ([`cpu_solvers::solve_batch_soa`], median of three runs,
+/// to shrug off scheduler noise); on a simulated one the deterministic
+/// per-row model, matching the dispatcher's simulated CPU engine time.
 fn time_cpu_thomas<T: Real>(batch: &SystemBatch<T>, clock: &Clock) -> f64 {
     if clock.is_sim() {
         return crate::dispatch::sim_cpu_ns(CpuEngine::Thomas, batch.n(), batch.count()) as f64
@@ -292,7 +296,7 @@ fn time_cpu_thomas<T: Real>(batch: &SystemBatch<T>, clock: &Clock) -> f64 {
     let mut samples = [0.0f64; 3];
     for s in samples.iter_mut() {
         let start = Instant::now();
-        let out = cpu_solvers::solve_batch_seq(&cpu_solvers::Thomas, batch);
+        let out = cpu_solvers::solve_batch_soa(batch);
         let elapsed = start.elapsed().as_secs_f64() * 1e3;
         *s = if out.is_ok() { elapsed } else { f64::INFINITY };
     }
