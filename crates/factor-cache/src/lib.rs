@@ -3,7 +3,7 @@
 //! Bounded LRU cache of precomputed tridiagonal factorizations, keyed by
 //! matrix identity ([`tridiag_core::MatrixKey`]): the serving tier's
 //! answer to traffic that re-solves the *same* matrix with fresh
-//! right-hand sides (ROADMAP open item 1).
+//! right-hand sides.
 //!
 //! Each entry holds the Thomas elimination coefficients
 //! ([`cpu_solvers::ThomasFactors`] — `wk1` reciprocal pivots / `wk2`
@@ -17,10 +17,14 @@
 //! trace-lab harness can replay warm traffic bit-identically.
 //!
 //! Safety contract: lookups are advisory. A cached artifact can be
-//! stale only through a 64-bit key collision or memory corruption, and
-//! the service residual-verifies every warm answer, repairing via GEP
-//! and [`FactorCache::invalidate`]-ing the entry on failure — a bad
-//! entry degrades to a repaired miss, never a wrong answer.
+//! stale only through a 64-bit key collision or memory corruption. On a
+//! fully verified or sampled flush the service residual-verifies every
+//! warm answer, repairing via GEP and [`FactorCache::invalidate`]-ing the
+//! entry on failure, so there a bad entry degrades to a repaired miss.
+//! On a flush whose certificate skips the residual only the NaN/Inf guard
+//! runs, so a stale entry whose answers stay finite is served as it is.
+//! ROADMAP items 1 (check every skipped answer, or stop skipping) and 2
+//! (confirm every hit exactly) close that gap.
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,6 @@
 //! Matrix identity: content hashing and symbolic structure tags.
 //!
-//! The serving tier's factorization cache (ROADMAP open item 1) needs a
+//! The serving tier's factorization cache needs a
 //! cheap, deterministic answer to "have we seen this matrix before?".
 //! Production traffic is dominated by repeated solves against the *same*
 //! left-hand side — ADI sweeps, compact finite differences, spectral
@@ -19,10 +19,21 @@
 //!   fallback, so *any* repeated matrix unifies even when it has no
 //!   recognizable structure.
 //!
-//! Keys are advisory: a 64-bit hash collision would alias two different
-//! matrices, which is why every consumer of a cached factorization must
-//! residual-verify its answers (the service does) — a collision then
-//! degrades to a repaired cache miss, never a wrong answer.
+//! Keys are advisory: FNV-1a is not collision-resistant, and a 64-bit
+//! collision aliases two different matrices, so the factor cache and the
+//! certificate catalog apply one matrix's factors and certificate to the
+//! other. What catches the result depends on the flush's verify policy:
+//!
+//! * a fully verified or sampled flush residual-verifies every answer, so
+//!   there a collision degrades to a GEP-repaired answer and an
+//!   invalidated cache entry;
+//! * a flush whose certificate licenses skipping the residual keeps only
+//!   the NaN/Inf guard, so a collision on a certified key can serve a
+//!   finite wrong answer.
+//!
+//! ROADMAP item 1 (check every skipped answer, or stop skipping) and
+//! item 2 (confirm every hit by an exact comparison of the coefficients)
+//! close that gap.
 
 use crate::real::Real;
 use crate::system::TridiagonalSystem;
