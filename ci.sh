@@ -52,11 +52,15 @@ cargo run --offline --release -p bench -- certify --quick
 echo "==> tribench unit tests"
 cargo test --offline -q --manifest-path tribench/Cargo.toml
 
-# A short keyed_churn run: exits nonzero on any rejected, wrong or
-# missing answer, so this is a correctness smoke, not a timing gate.
-echo "==> tribench smoke (keyed_churn, 3 s)"
-cargo run --offline --release --quiet --manifest-path tribench/Cargo.toml -- \
-    --workload keyed_churn --seconds 3
+# Short tribench runs: each exits nonzero on any rejected, wrong or
+# missing answer, so these are correctness smokes, not timing gates.
+# keyed_churn's one-request flushes take the scalar solvers; cold_batch
+# and warm_rhs fill flushes of 64, so they reach the lockstep sweeps.
+for workload in keyed_churn cold_batch warm_rhs; do
+    echo "==> tribench smoke ($workload, 3 s)"
+    cargo run --offline --release --quiet --manifest-path tribench/Cargo.toml -- \
+        --workload "$workload" --seconds 3
+done
 
 # Surface the perf artifacts the gates above just wrote (canonical copies
 # stay under target/repro/; the repo-root copies are gitignored and exist
