@@ -49,6 +49,14 @@ cargo run --offline --release -p bench -- factor --quick
 echo "==> certify gate (bench certify --quick)"
 cargo run --offline --release -p bench -- certify --quick
 
+# The two solve_many_rhs clients: each asserts every answer against an
+# analytic solution and checks the factor-cache counters. They are the
+# only f64 and warm-gpu callers of the multi-RHS admission path.
+for example in adi_heat_service spectral_poisson; do
+    echo "==> example ($example)"
+    cargo run --offline --release --quiet --example "$example"
+done
+
 echo "==> tribench unit tests"
 cargo test --offline -q --manifest-path tribench/Cargo.toml
 

@@ -29,8 +29,9 @@ use solver_service::{
     make_request_at, serve_flush, BucketTable, DeviceCtx, DispatchConfig, Engine, FlushReason,
     FlushedBatch, SolveRequest, SolveResponse, TraceEvent,
 };
+use std::sync::Arc;
 use std::time::Duration;
-use tridiag_core::{Generator, TridiagonalSystem, Workload};
+use tridiag_core::{Generator, Matrix, TridiagonalSystem, Workload};
 
 /// Serving-loop knobs for one cluster run.
 #[derive(Debug, Clone)]
@@ -146,10 +147,11 @@ impl Pending {
         let mut submitted = Vec::with_capacity(requests.len());
         let mut systems = Vec::with_capacity(requests.len());
         for req in requests {
-            let SolveRequest { id, system, submitted_at, .. } = req;
+            let SolveRequest { id, matrix, d, submitted_at, .. } = req;
+            let Matrix { a, b, c } = Arc::unwrap_or_clone(matrix);
             ids.push(id);
             submitted.push(submitted_at);
-            systems.push(system);
+            systems.push(TridiagonalSystem { a, b, c, d });
         }
         Self { n, ids, submitted, systems, reason }
     }

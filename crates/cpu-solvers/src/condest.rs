@@ -10,10 +10,11 @@
 //! (`gpu_solvers::VerifyPolicy::condition_scaled`) scale its thresholds.
 
 use crate::gep::GepFactors;
-use tridiag_core::{Real, Result, TridiagonalSystem};
+use tridiag_core::{Real, Result, SystemRef};
 
 /// Exact 1-norm of `A` (max absolute column sum).
-pub fn norm1<T: Real>(sys: &TridiagonalSystem<T>) -> f64 {
+pub fn norm1<'a, T: Real>(sys: impl Into<SystemRef<'a, T>>) -> f64 {
+    let sys = sys.into();
     let n = sys.n();
     (0..n)
         .map(|j| {
@@ -35,10 +36,11 @@ pub fn norm1<T: Real>(sys: &TridiagonalSystem<T>) -> f64 {
 /// # Errors
 /// The zero pivot [`crate::gep::solve_into`] reports for `A` or, failing
 /// that, for `Aᵀ`.
-pub fn inverse_norm1_estimate<T: Real>(sys: &TridiagonalSystem<T>) -> Result<f64> {
+pub fn inverse_norm1_estimate<'a, T: Real>(sys: impl Into<SystemRef<'a, T>>) -> Result<f64> {
+    let sys = sys.into();
     let n = sys.n();
-    let lu = GepFactors::factor(&sys.a, &sys.b, &sys.c)?;
-    let lu_t = GepFactors::factor_transpose(&sys.a, &sys.b, &sys.c)?;
+    let lu = GepFactors::factor(sys.a, sys.b, sys.c)?;
+    let lu_t = GepFactors::factor_transpose(sys.a, sys.b, sys.c)?;
     let inv_n = T::from_f64(1.0 / n as f64);
     let mut x = vec![inv_n; n];
     let mut y = vec![T::ZERO; n];
@@ -73,14 +75,15 @@ pub fn inverse_norm1_estimate<T: Real>(sys: &TridiagonalSystem<T>) -> Result<f64
 }
 
 /// Estimated 1-norm condition number `kappa_1(A) ~= ||A||_1 ||A^{-1}||_1`.
-pub fn condition_estimate<T: Real>(sys: &TridiagonalSystem<T>) -> Result<f64> {
+pub fn condition_estimate<'a, T: Real>(sys: impl Into<SystemRef<'a, T>>) -> Result<f64> {
+    let sys = sys.into();
     Ok(norm1(sys) * inverse_norm1_estimate(sys)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tridiag_core::{Generator, Workload};
+    use tridiag_core::{Generator, TridiagonalSystem, Workload};
 
     /// Dense reference: exact ||A^{-1}||_1 by solving for every column of
     /// the identity (small n only).

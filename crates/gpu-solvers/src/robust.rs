@@ -17,7 +17,7 @@
 
 use cpu_solvers::gep;
 use tridiag_core::residual::l2_residual;
-use tridiag_core::{Real, SolutionBatch, TridiagonalSystem};
+use tridiag_core::{Real, SolutionBatch, SystemRef};
 
 /// How much verification a batch of answers pays.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,7 +61,7 @@ impl VerifyPolicy {
     }
 
     /// The acceptance bound `threshold_scale · ‖d‖₂ · ε · n` for `sys`.
-    fn threshold<T: Real>(&self, sys: &TridiagonalSystem<T>) -> f64 {
+    fn threshold<T: Real>(&self, sys: SystemRef<'_, T>) -> f64 {
         let d_norm: f64 =
             sys.d.iter().map(|&v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt().max(1e-30);
         self.threshold_scale * d_norm * T::EPSILON.to_f64() * sys.n() as f64
@@ -99,7 +99,8 @@ impl Acceptance {
 }
 
 /// Accepts or repairs every answer in `solutions`, in place: answer `i`
-/// solves the `i`-th of `systems`.
+/// solves the `i`-th of `systems` (owned systems by reference, or
+/// [`SystemRef`] views of systems held elsewhere).
 ///
 /// The NaN/Inf guard runs under every policy; the residual test runs
 /// unless the policy carries a certificate bound, and each verified
@@ -108,8 +109,8 @@ impl Acceptance {
 /// new residual. A repair never aborts the batch: a system GEP cannot
 /// solve (exactly singular) is answered with NaN at residual `+∞`, and
 /// the other answers keep their engine's result.
-pub fn accept_or_repair<'a, T: Real>(
-    systems: impl IntoIterator<Item = &'a TridiagonalSystem<T>>,
+pub fn accept_or_repair<'a, T: Real, S: Into<SystemRef<'a, T>>>(
+    systems: impl IntoIterator<Item = S>,
     solutions: &mut SolutionBatch<T>,
     producer: Producer,
     policy: VerifyPolicy,
@@ -118,6 +119,7 @@ pub fn accept_or_repair<'a, T: Real>(
     let mut acceptance =
         Acceptance { residuals: Vec::with_capacity(count), repaired: vec![false; count] };
     for (i, sys) in systems.into_iter().enumerate() {
+        let sys = sys.into();
         let x = solutions.system_mut(i);
         let residual = match (check(sys, x, policy), producer) {
             (Ok(residual), _) => residual,
@@ -136,11 +138,11 @@ pub fn accept_or_repair<'a, T: Real>(
 /// `Err(measured residual)` when it fails, `Err(None)` for a non-finite
 /// answer.
 fn check<T: Real>(
-    sys: &TridiagonalSystem<T>,
+    sys: SystemRef<'_, T>,
     x: &[T],
     policy: VerifyPolicy,
 ) -> Result<f64, Option<f64>> {
-    if !x.iter().all(|v| v.is_finite()) {
+    if !all_finite(x) {
         return Err(None);
     }
     if let Some(bound) = policy.certificate_bound {
@@ -154,9 +156,23 @@ fn check<T: Real>(
     }
 }
 
+/// The NaN/Inf guard: whether every entry of `x` is finite. Chunks of 16
+/// fold their verdicts with `&` and branch once, so the loop vectorizes
+/// where a per-element early exit would not; the decision is the same as
+/// `x.iter().all(|v| v.is_finite())` for every input.
+fn all_finite<T: Real>(x: &[T]) -> bool {
+    let mut chunks = x.chunks_exact(16);
+    for chunk in &mut chunks {
+        if !chunk.iter().fold(true, |finite, v| finite & v.is_finite()) {
+            return false;
+        }
+    }
+    chunks.remainder().iter().all(|v| v.is_finite())
+}
+
 /// Re-solves `sys` into `x` with GEP and measures the result.
-fn repair<T: Real>(sys: &TridiagonalSystem<T>, x: &mut [T]) -> f64 {
-    match gep::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x) {
+fn repair<T: Real>(sys: SystemRef<'_, T>, x: &mut [T]) -> f64 {
+    match gep::solve_into(sys.a, sys.b, sys.c, sys.d, x) {
         Ok(()) => l2_residual(sys, x).unwrap_or(f64::INFINITY),
         Err(_) => {
             x.fill(T::from_f64(f64::NAN));
@@ -172,7 +188,7 @@ mod tests {
     use crate::{solve_batch, GpuAlgorithm, GpuSolveReport};
     use gpu_sim::Launcher;
     use tridiag_core::residual::batch_residual;
-    use tridiag_core::{Generator, SystemBatch, Workload};
+    use tridiag_core::{Generator, SystemBatch, TridiagonalSystem, Workload};
 
     /// `solve_batch` then `accept_or_repair` over the same systems; also
     /// returns which answers the engine left non-finite.
@@ -287,7 +303,7 @@ mod tests {
             for (s, sys) in systems.iter().enumerate() {
                 let r = l2_residual(sys, report.solutions.system(s)).unwrap();
                 assert_eq!(r, acceptance.residuals[s], "seed {seed}: reported residual");
-                assert!(r <= policy.threshold(sys), "seed {seed}: {r}");
+                assert!(r <= policy.threshold(sys.into()), "seed {seed}: {r}");
             }
         }
     }
@@ -347,12 +363,15 @@ mod tests {
 
     /// Every combination of answer × policy × producer, against one
     /// well-conditioned system (or, for `Singular`, the all-zero matrix).
-    #[test]
-    fn the_acceptance_rule_over_every_answer_policy_and_producer() {
+    /// n = 37 puts the guard's probes at both ends of its first 16-entry
+    /// chunk (0, 15), at the start of the second (16) and in the
+    /// remainder (n − 1).
+    fn acceptance_table<T: Real>() {
         #[derive(Debug, Clone, Copy)]
         enum Answer {
             Clean,
-            NaN,
+            NaN(usize),
+            Inf(usize),
             FiniteButWrong,
             Singular,
         }
@@ -370,14 +389,13 @@ mod tests {
             Infinite,
         }
         const BOUND: f64 = 1e-5;
-        let n = 16;
-        let good: TridiagonalSystem<f64> =
-            Generator::new(9).system(Workload::DiagonallyDominant, n);
-        let zero = vec![0.0f64; n];
+        let n = 37;
+        let good: TridiagonalSystem<T> = Generator::new(9).system(Workload::DiagonallyDominant, n);
+        let zero = vec![T::ZERO; n];
         let singular = TridiagonalSystem::new(zero.clone(), zero.clone(), zero, good.d.clone())
             .expect("an all-zero matrix is a well-formed system");
         let exact = {
-            let mut x = vec![0.0; n];
+            let mut x = vec![T::ZERO; n];
             gep::solve_into(&good.a, &good.b, &good.c, &good.d, &mut x).unwrap();
             x
         };
@@ -386,7 +404,10 @@ mod tests {
             ("sampled", VerifyPolicy::condition_scaled(100.0, 1e3)),
             ("skip", VerifyPolicy { certificate_bound: Some(BOUND), ..VerifyPolicy::full(100.0) }),
         ];
-        let answers = [Answer::Clean, Answer::NaN, Answer::FiniteButWrong, Answer::Singular];
+        let mut answers = vec![Answer::Clean, Answer::FiniteButWrong, Answer::Singular];
+        for at in [0, 15, 16, n - 1] {
+            answers.extend([Answer::NaN(at), Answer::Inf(at)]);
+        }
         for answer in answers {
             for (policy_name, policy) in policies {
                 for producer in [Producer::PivotFree, Producer::Gep] {
@@ -394,8 +415,10 @@ mod tests {
                     let mut x = exact.clone();
                     match answer {
                         Answer::Clean => {}
-                        Answer::NaN | Answer::Singular => x[3] = f64::NAN,
-                        Answer::FiniteButWrong => x[3] += 1.0,
+                        Answer::NaN(at) => x[at] = T::from_f64(f64::NAN),
+                        Answer::Inf(at) => x[at] = T::from_f64(f64::INFINITY),
+                        Answer::Singular => x[3] = T::from_f64(f64::NAN),
+                        Answer::FiniteButWrong => x[3] += T::ONE,
                     }
                     let mut solutions = SolutionBatch::from_flat(n, 1, x.clone()).unwrap();
                     let got = accept_or_repair([sys], &mut solutions, producer, policy);
@@ -406,15 +429,20 @@ mod tests {
                     let expect = match (answer, producer) {
                         (Answer::Clean, _) if skip => Expect::Bound,
                         (Answer::Clean, _) => Expect::Measured,
-                        (Answer::NaN, Producer::PivotFree) => Expect::Repaired,
+                        (Answer::NaN(_) | Answer::Inf(_), Producer::PivotFree) => Expect::Repaired,
                         (Answer::FiniteButWrong, Producer::PivotFree) if skip => Expect::Bound,
                         (Answer::FiniteButWrong, Producer::PivotFree) => Expect::Repaired,
                         (Answer::FiniteButWrong, Producer::Gep) if skip => Expect::Bound,
                         (Answer::FiniteButWrong, Producer::Gep) => Expect::Measured,
                         (Answer::Singular, Producer::PivotFree) => Expect::RepairFailed,
-                        (Answer::NaN | Answer::Singular, Producer::Gep) => Expect::Infinite,
+                        (Answer::NaN(_) | Answer::Inf(_) | Answer::Singular, Producer::Gep) => {
+                            Expect::Infinite
+                        }
                     };
-                    let case = format!("{answer:?} × {policy_name} × {producer:?}");
+                    let case = format!(
+                        "{} {answer:?} × {policy_name} × {producer:?}",
+                        std::any::type_name::<T>()
+                    );
                     match expect {
                         Expect::Measured => {
                             assert!(!repaired, "{case}");
@@ -429,12 +457,12 @@ mod tests {
                         Expect::Repaired => {
                             assert!(repaired, "{case}");
                             assert_eq!(residual, l2_residual(sys, out).unwrap(), "{case}");
-                            assert!(residual <= policy.threshold(sys), "{case}: {residual}");
+                            assert!(residual <= policy.threshold(sys.into()), "{case}: {residual}");
                         }
                         Expect::RepairFailed => {
                             assert!(repaired, "{case}");
                             assert_eq!(residual, f64::INFINITY, "{case}");
-                            assert!(out.iter().all(|v| v.is_nan()), "{case}: {out:?}");
+                            assert!(out.iter().all(|v| v.to_f64().is_nan()), "{case}: {out:?}");
                         }
                         Expect::Infinite => {
                             assert!(!repaired, "{case}: GEP answers are never re-solved");
@@ -444,5 +472,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_acceptance_rule_over_every_answer_policy_and_producer() {
+        acceptance_table::<f32>();
+        acceptance_table::<f64>();
+    }
+
+    #[test]
+    fn the_chunked_guard_agrees_with_the_per_element_scan() {
+        for n in [1, 15, 16, 17, 32, 37, 256] {
+            for at in 0..n {
+                for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    let mut x = vec![1.0f32; n];
+                    assert!(all_finite(&x), "n {n}");
+                    x[at] = bad;
+                    assert!(!all_finite(&x), "n {n}, {bad} at {at}");
+                }
+            }
+        }
+        assert!(all_finite::<f64>(&[]));
     }
 }

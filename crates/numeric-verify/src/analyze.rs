@@ -24,7 +24,7 @@
 //! bound cannot mint an unsound certificate.
 
 use cpu_solvers::{condition_estimate, positive_pivot_floor, thomas_pivot_floor};
-use tridiag_core::{NumericCertificate, Real, TridiagonalSystem};
+use tridiag_core::{NumericCertificate, Real, SystemRef};
 
 /// Ulps of row magnitude a class scan must clear before certifying.
 const SLACK_ULPS: f64 = 4.0;
@@ -165,13 +165,14 @@ fn cr_levels_preserve(
 /// only returned when the class scan, the machine-checked Thomas/CR pivot
 /// propagation, **and** a finite Hager forward-error bound all hold —
 /// any failure yields `Uncertified` (never an error).
-pub fn analyze<T: Real>(system: &TridiagonalSystem<T>) -> Analysis {
+pub fn analyze<'a, T: Real>(system: impl Into<SystemRef<'a, T>>) -> Analysis {
+    let system = system.into();
     let n = system.n();
     if n == 0 {
         return Analysis::uncertified(0);
     }
     let to64 = |v: &[T]| v.iter().map(|x| x.to_f64()).collect::<Vec<f64>>();
-    let (a, b, c) = (to64(&system.a), to64(&system.b), to64(&system.c));
+    let (a, b, c) = (to64(system.a), to64(system.b), to64(system.c));
     if a.iter().chain(&b).chain(&c).any(|v| !v.is_finite()) {
         return Analysis::uncertified(0);
     }
@@ -227,7 +228,7 @@ pub fn analyze<T: Real>(system: &TridiagonalSystem<T>) -> Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tridiag_core::{Generator, Workload};
+    use tridiag_core::{Generator, TridiagonalSystem, Workload};
 
     fn system_of(a: Vec<f64>, b: Vec<f64>, c: Vec<f64>) -> TridiagonalSystem<f64> {
         let d = vec![1.0; b.len()];

@@ -39,7 +39,7 @@
 use crate::analyze::analyze;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use tridiag_core::{MatrixKey, NumericCertificate, Real, TridiagonalSystem};
+use tridiag_core::{MatrixKey, NumericCertificate, Real, SystemRef};
 
 /// How much verification one flush of one key must pay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,7 +235,11 @@ impl CertifiedCatalog {
     /// it. The first flush only marks the key as seen (`Full`); the second
     /// analyzes the system — outside the lock — and memoizes the verdict;
     /// later flushes advance the key's deterministic flush counter.
-    pub fn observe<T: Real>(&self, key: MatrixKey, system: &TridiagonalSystem<T>) -> Observation {
+    pub fn observe<'a, T: Real>(
+        &self,
+        key: MatrixKey,
+        system: impl Into<SystemRef<'a, T>>,
+    ) -> Observation {
         {
             let mut inner = self.inner.lock();
             if let Some(entry) = inner.entries.get_mut(&key) {
@@ -324,7 +328,7 @@ impl CertifiedCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tridiag_core::{Generator, StructureTag, Workload};
+    use tridiag_core::{Generator, StructureTag, TridiagonalSystem, Workload};
 
     fn dominant(seed: u64, n: usize) -> (MatrixKey, TridiagonalSystem<f32>) {
         let s: TridiagonalSystem<f32> =

@@ -154,7 +154,7 @@ impl<T: Real> BucketTable<T> {
     /// Adds `request` to its `(size, matrix-group)` bucket; returns the
     /// batch when the bucket reaches the target size.
     pub fn insert(&mut self, request: SolveRequest<T>, now: Tick) -> Option<FlushedBatch<T>> {
-        let n = request.system.n();
+        let n = request.n();
         let group = request.matrix_key.map_or(0, |k| k.fingerprint());
         let key = (n, group);
         let bucket = self.buckets.entry(key).or_insert_with(|| Bucket {
@@ -254,10 +254,10 @@ mod tests {
         // Each size class fills independently.
         let f64_class = table.insert(req(2, 64), 0).unwrap();
         assert_eq!(f64_class.n, 64);
-        assert!(f64_class.requests.iter().all(|r| r.system.n() == 64));
+        assert!(f64_class.requests.iter().all(|r| r.n() == 64));
         let f128 = table.insert(req(3, 128), 0).unwrap();
         assert_eq!(f128.n, 128);
-        assert!(f128.requests.iter().all(|r| r.system.n() == 128));
+        assert!(f128.requests.iter().all(|r| r.n() == 128));
     }
 
     #[test]

@@ -73,7 +73,7 @@ use kernel_verify::VerifiedCatalog;
 use numeric_verify::{CertifiedCatalog, VerifyDecision};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tridiag_core::{MatrixKey, Real, SolutionBatch, SystemBatch, TridiagError, TridiagonalSystem};
+use tridiag_core::{MatrixKey, Real, SolutionBatch, SystemBatch, SystemRef, TridiagError};
 
 /// Dispatch-time knobs (a copy of the relevant service config).
 #[derive(Debug, Clone)]
@@ -218,7 +218,7 @@ pub fn serve_flush<T: Real>(
     let occupancy = requests.len();
     debug_assert!(occupancy > 0, "empty flush");
     // Every step reads the systems where the requests hold them.
-    let systems: Vec<&TridiagonalSystem<T>> = requests.iter().map(|r| &r.system).collect();
+    let systems: Vec<SystemRef<'_, T>> = requests.iter().map(SolveRequest::system).collect();
 
     // 1. Resolve. A keyed flush consults the certificate catalog, then the
     // factorization cache; a hit skips planning *and* elimination.
@@ -345,7 +345,7 @@ pub fn serve_flush<T: Real>(
 fn certified_policy<T: Real>(
     catalog: &CertifiedCatalog,
     key: MatrixKey,
-    system: &TridiagonalSystem<T>,
+    system: SystemRef<'_, T>,
     cfg: &DispatchConfig,
     metrics: &ServiceMetrics,
 ) -> VerifyPolicy {
@@ -392,7 +392,7 @@ fn certified_policy<T: Real>(
 fn warm_lookup<T: Real>(
     cache: &FactorCache<T>,
     key: MatrixKey,
-    system: &TridiagonalSystem<T>,
+    system: SystemRef<'_, T>,
     cfg: &DispatchConfig,
     metrics: &ServiceMetrics,
 ) -> Option<FactorEntry<T>> {
@@ -405,7 +405,7 @@ fn warm_lookup<T: Real>(
     }
     cfg.trace.emit(|| TraceEvent::FactorMiss { at: cfg.clock.now(), key: key.fingerprint(), n });
     metrics.on_factor_miss();
-    if let Ok((_, evicted)) = cache.factor_and_insert(key, &system.a, &system.b, &system.c) {
+    if let Ok((_, evicted)) = cache.factor_and_insert(key, system.a, system.b, system.c) {
         metrics.on_factor_evictions(evicted.len() as u64);
         for fp in evicted {
             cfg.trace.emit(|| TraceEvent::FactorEvict { at: cfg.clock.now(), key: fp });
@@ -605,7 +605,7 @@ fn run_gpu<T: Real>(
     first: GpuAlgorithm,
     fallbacks: &[Engine],
     breakers: &CircuitBreakers,
-    systems: &[&TridiagonalSystem<T>],
+    systems: &[SystemRef<'_, T>],
     cfg: &DispatchConfig,
     sanitize: bool,
     policy: VerifyPolicy,
@@ -806,7 +806,7 @@ fn shared_matrix_key<T: Real>(requests: &[SolveRequest<T>]) -> Option<MatrixKey>
 fn run_warm<T: Real>(
     device: &DeviceCtx<'_>,
     entry: &FactorEntry<T>,
-    systems: &[&TridiagonalSystem<T>],
+    systems: &[SystemRef<'_, T>],
     cfg: &DispatchConfig,
     policy: VerifyPolicy,
 ) -> Run<T> {
@@ -815,7 +815,7 @@ fn run_warm<T: Real>(
     let mut device_faults = 0u64;
     let mut degraded = false;
     if count >= cfg.min_gpu_batch {
-        let rhs: Vec<&[T]> = systems.iter().map(|s| s.d.as_slice()).collect();
+        let rhs: Vec<&[T]> = systems.iter().map(|s| s.d).collect();
         match gpu_solvers::solve_batch_warm(device.launcher, &entry.thomas, &rhs) {
             Ok(report) => {
                 let ms = report.timing.total_ms();
@@ -835,7 +835,7 @@ fn run_warm<T: Real>(
     }
     let mut solutions = SolutionBatch::from_flat(n, count, vec![T::ZERO; n * count])
         .expect("flush holds >=1 same-size systems");
-    lockstep::solve_factored(&entry.thomas, &mut solutions, |k| &systems[k].d);
+    lockstep::solve_factored(&entry.thomas, &mut solutions, |k| systems[k].d);
     let ms = cpu_engine_ms(&cfg.clock, sim_cpu_warm_ns(n, count), n, count, policy, started);
     Run { device_faults, degraded, ..Run::new(solutions, "cpu-warm".into(), ms, policy) }
 }
@@ -846,7 +846,7 @@ fn run_warm<T: Real>(
 /// as NaN, so acceptance's guard catches it under every policy. GEP
 /// answers are never re-solved.
 fn run_cpu<T: Real>(
-    systems: &[&TridiagonalSystem<T>],
+    systems: &[SystemRef<'_, T>],
     cpu: CpuEngine,
     policy: VerifyPolicy,
     clock: &Clock,
@@ -859,13 +859,13 @@ fn run_cpu<T: Real>(
         CpuEngine::Thomas => {
             lockstep::solve_thomas(&mut solutions, |k| {
                 let sys = systems[k];
-                (&sys.a, &sys.b, &sys.c, &sys.d)
+                (sys.a, sys.b, sys.c, sys.d)
             });
         }
         CpuEngine::Gep => {
             for (i, sys) in systems.iter().enumerate() {
                 let x = solutions.system_mut(i);
-                if gep::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x).is_err() {
+                if gep::solve_into(sys.a, sys.b, sys.c, sys.d, x).is_err() {
                     x.fill(T::from_f64(f64::NAN));
                 }
             }
@@ -886,7 +886,7 @@ mod tests {
     use crate::breaker::{BreakerConfig, BreakerState};
     use crate::request::make_request;
     use gpu_solvers::GpuAlgorithm;
-    use tridiag_core::{Generator, Workload};
+    use tridiag_core::{Generator, TridiagonalSystem, Workload};
 
     fn cfg() -> DispatchConfig {
         DispatchConfig {
@@ -897,21 +897,27 @@ mod tests {
         }
     }
 
+    fn systems_of(n: usize, count: usize, seed: u64) -> Vec<TridiagonalSystem<f32>> {
+        let mut generator = Generator::new(seed);
+        (0..count).map(|_| generator.system(Workload::DiagonallyDominant, n)).collect()
+    }
+
+    /// A full flush of `systems` (all one size), request `i` carrying id `i`.
+    fn flush_from(
+        systems: Vec<TridiagonalSystem<f32>>,
+    ) -> (FlushedBatch<f32>, Vec<crate::request::Ticket<f32>>) {
+        let n = systems[0].n();
+        let (requests, tickets) =
+            systems.into_iter().enumerate().map(|(i, s)| make_request(i as u64, s)).unzip();
+        (FlushedBatch { n, requests, reason: FlushReason::Full }, tickets)
+    }
+
     fn flush_of(
         n: usize,
         count: usize,
         seed: u64,
     ) -> (FlushedBatch<f32>, Vec<crate::request::Ticket<f32>>) {
-        let mut generator = Generator::new(seed);
-        let mut requests = Vec::new();
-        let mut tickets = Vec::new();
-        for i in 0..count {
-            let (req, ticket) =
-                make_request(i as u64, generator.system(Workload::DiagonallyDominant, n));
-            requests.push(req);
-            tickets.push(ticket);
-        }
-        (FlushedBatch { n, requests, reason: FlushReason::Full }, tickets)
+        flush_from(systems_of(n, count, seed))
     }
 
     #[test]
@@ -995,10 +1001,9 @@ mod tests {
         let launcher = Launcher::gtx280();
         let metrics = ServiceMetrics::new();
         let pinned = DispatchConfig { pin_engine: Some(Engine::Cpu(CpuEngine::Thomas)), ..cfg() };
-        let (mut flush, tickets) = flush_of(64, 16, 15);
-        flush.requests[3].system.b[0] = 0.0;
-        let systems: Vec<TridiagonalSystem<f32>> =
-            flush.requests.iter().map(|r| r.system.clone()).collect();
+        let mut systems = systems_of(64, 16, 15);
+        systems[3].b[0] = 0.0;
+        let (flush, tickets) = flush_from(systems.clone());
         serve_flush(
             DeviceCtx::solo(&launcher),
             &PlanCache::new(),
@@ -1080,12 +1085,12 @@ mod tests {
     /// index 5: pivot-free engines produce NaN there, and GEP cannot
     /// repair it.
     fn flush_with_a_singular_system() -> (FlushedBatch<f32>, Vec<crate::request::Ticket<f32>>) {
-        let (mut flush, tickets) = flush_of(64, 8, 46);
+        let mut systems = systems_of(64, 8, 46);
         let zero = vec![0.0f32; 64];
-        let d = flush.requests[5].system.d.clone();
-        flush.requests[5].system = TridiagonalSystem::new(zero.clone(), zero.clone(), zero, d)
+        let d = systems[5].d.clone();
+        systems[5] = TridiagonalSystem::new(zero.clone(), zero.clone(), zero, d)
             .expect("an all-zero matrix is a well-formed system");
-        (flush, tickets)
+        flush_from(systems)
     }
 
     #[test]
@@ -1272,7 +1277,7 @@ mod tests {
             let mut generator = Generator::new(33);
             (0..8).map(|_| generator.system(Workload::DiagonallyDominant, 64)).collect()
         };
-        let refs: Vec<&TridiagonalSystem<f32>> = systems.iter().collect();
+        let refs: Vec<SystemRef<'_, f32>> = systems.iter().map(SystemRef::from).collect();
         let run = run_gpu(
             &DeviceCtx::solo(&launcher),
             GpuAlgorithm::Cr,
@@ -1511,7 +1516,7 @@ mod tests {
         let factors = cpu_solvers::ThomasFactors::factor(&system.a, &system.b, &system.c).unwrap();
         for (seed, engine) in [(1, "cpu-thomas"), (2, "cpu-warm")] {
             let (flush, tickets) = keyed_flush(&system, 67, seed);
-            let rhs: Vec<Vec<f32>> = flush.requests.iter().map(|r| r.system.d.clone()).collect();
+            let rhs: Vec<Vec<f32>> = flush.requests.iter().map(|r| r.d.clone()).collect();
             serve_flush(
                 DeviceCtx::solo(&launcher),
                 &PlanCache::new(),
@@ -1948,7 +1953,7 @@ mod tests {
             let mut generator = Generator::new(43);
             (0..8).map(|_| generator.system(Workload::DiagonallyDominant, 64)).collect()
         };
-        let refs: Vec<&TridiagonalSystem<f32>> = systems.iter().collect();
+        let refs: Vec<SystemRef<'_, f32>> = systems.iter().map(SystemRef::from).collect();
         let fallbacks =
             vec![Engine::Gpu(GpuAlgorithm::CrPcr { m: 32 }), Engine::Gpu(GpuAlgorithm::Pcr)];
         let mut run = run_gpu(

@@ -6,7 +6,10 @@
 //!
 //! 1. **Admission & backpressure** ([`queue`]): a bounded queue that
 //!    *rejects* when full ([`ServiceError::QueueFull`]) instead of
-//!    blocking submitters — load is shed at the edge.
+//!    blocking submitters — load is shed at the edge. A request shares
+//!    its coefficient matrix behind an `Arc` ([`request`]), so a
+//!    multi-RHS call copies its matrix once and enters the queue with one
+//!    push; the queue and the tickets wake only parked threads.
 //! 2. **Micro-batching** ([`batcher`]): requests accumulate in per-size
 //!    buckets (systems of different `n` never share a kernel launch) and
 //!    flush at a target batch size or a max-linger deadline, whichever

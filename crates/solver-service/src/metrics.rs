@@ -109,9 +109,9 @@ impl ServiceMetrics {
         }
     }
 
-    /// One request admitted.
-    pub fn on_submit(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+    /// `requests` requests admitted.
+    pub fn on_submit(&self, requests: u64) {
+        self.submitted.fetch_add(requests, Ordering::Relaxed);
     }
 
     /// One request rejected at admission (queue full / shutting down).
@@ -595,7 +595,7 @@ mod tests {
     fn conservation_between_dispatch_and_occupancy() {
         let m = ServiceMetrics::new();
         for _ in 0..10 {
-            m.on_submit();
+            m.on_submit(1);
         }
         m.on_batch_served("cr+pcr@32", 6, FlushReason::Full, 1, 0.25);
         m.on_batch_served("cpu-thomas", 3, FlushReason::Linger, 0, 0.5);
@@ -719,7 +719,7 @@ mod tests {
     #[test]
     fn json_is_well_formed_and_complete() {
         let m = ServiceMetrics::new();
-        m.on_submit();
+        m.on_submit(1);
         m.on_batch_served("pcr", 1, FlushReason::Linger, 0, 0.125);
         m.on_complete(Duration::from_micros(50));
         let json = m.snapshot(0, 1, 0).to_json();

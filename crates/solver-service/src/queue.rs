@@ -10,10 +10,23 @@
 //! ([`BoundedQueue::pop_until`]) so the batcher can sleep exactly until its
 //! earliest linger deadline, whichever of "new request" or "time to flush"
 //! comes first.
+//!
+//! [`BoundedQueue::push_many`] admits a whole run of items under one lock
+//! — as many as fit — so a multi-RHS call pays one queue operation, not
+//! one per right-hand side. A call larger than the free capacity parks in
+//! [`BoundedQueue::wait_for_room`] between its pieces.
+//!
+//! **Parked-only wake-ups.** Each side wakes the other only when the other
+//! is parked: the consumer sets a flag under the queue's mutex before it
+//! waits, and a push notifies only when it reads that flag set (likewise a
+//! pop for parked producers). A notify on an empty condition variable
+//! still costs a futex system call, and most pushes find the batcher busy.
+//! Because flag and items share the mutex, a push either sees the flag or
+//! the consumer sees the item before it parks: no wake-up is lost.
 
 use gpu_sim::{Clock, Tick};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Outcome of a push attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,12 +51,17 @@ pub enum Pop<R> {
 struct State<R> {
     items: VecDeque<R>,
     closed: bool,
+    /// The consumer is parked on `nonempty`.
+    consumer_parked: bool,
+    /// Producers parked on `room`.
+    producers_parked: usize,
 }
 
 /// A multi-producer single-consumer bounded queue (`Mutex` + `Condvar`).
 pub struct BoundedQueue<R> {
     state: Mutex<State<R>>,
     nonempty: Condvar,
+    room: Condvar,
     capacity: usize,
 }
 
@@ -52,10 +70,20 @@ impl<R> BoundedQueue<R> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "queue capacity must be >= 1");
         Self {
-            state: Mutex::new(State { items: VecDeque::new(), closed: false }),
+            state: Mutex::new(State {
+                items: VecDeque::new(),
+                closed: false,
+                consumer_parked: false,
+                producers_parked: 0,
+            }),
             nonempty: Condvar::new(),
+            room: Condvar::new(),
             capacity,
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State<R>> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Configured capacity.
@@ -65,7 +93,7 @@ impl<R> BoundedQueue<R> {
 
     /// Current depth (approximate the instant the lock is released).
     pub fn len(&self) -> usize {
-        self.state.lock().unwrap_or_else(|p| p.into_inner()).items.len()
+        self.lock().items.len()
     }
 
     /// Whether the queue is currently empty.
@@ -75,17 +103,45 @@ impl<R> BoundedQueue<R> {
 
     /// Attempts to enqueue; never blocks.
     pub fn push(&self, item: R) -> Result<(), PushError> {
-        let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut items = VecDeque::from([item]);
+        self.push_many(&mut items).map(drop)
+    }
+
+    /// Moves items from the front of `items` into the queue, in order,
+    /// until the queue is full; never blocks. Returns how many moved (all
+    /// of them when they fit); what did not fit stays in `items`.
+    ///
+    /// # Errors
+    /// [`PushError::Closed`] after [`close`](Self::close);
+    /// [`PushError::Full`] when `items` is non-empty and not one fits.
+    pub fn push_many(&self, items: &mut VecDeque<R>) -> Result<usize, PushError> {
+        let mut s = self.lock();
         if s.closed {
             return Err(PushError::Closed);
         }
-        if s.items.len() >= self.capacity {
+        let moved = items.len().min(self.capacity.saturating_sub(s.items.len()));
+        if moved == 0 && !items.is_empty() {
             return Err(PushError::Full);
         }
-        s.items.push_back(item);
+        s.items.extend(items.drain(..moved));
+        let wake = moved > 0 && s.consumer_parked;
         drop(s);
-        self.nonempty.notify_one();
-        Ok(())
+        if wake {
+            self.nonempty.notify_one();
+        }
+        Ok(moved)
+    }
+
+    /// Blocks until the queue has a free slot or is closed: how a caller
+    /// whose [`push_many`](Self::push_many) did not fit waits for the
+    /// consumer to drain its earlier piece.
+    pub fn wait_for_room(&self) {
+        let mut s = self.lock();
+        while s.items.len() >= self.capacity && !s.closed {
+            s.producers_parked += 1;
+            s = self.room.wait(s).unwrap_or_else(|p| p.into_inner());
+            s.producers_parked -= 1;
+        }
     }
 
     /// Dequeues one item, waiting until `deadline` on `clock` (forever
@@ -101,9 +157,14 @@ impl<R> BoundedQueue<R> {
     /// has already virtually passed returns [`Pop::TimedOut`] without
     /// parking at all.
     pub fn pop_until(&self, deadline: Option<Tick>, clock: &Clock) -> Pop<R> {
-        let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut s = self.lock();
         loop {
             if let Some(item) = s.items.pop_front() {
+                let wake = s.producers_parked > 0;
+                drop(s);
+                if wake {
+                    self.room.notify_all();
+                }
                 return Pop::Item(item);
             }
             if s.closed {
@@ -111,16 +172,20 @@ impl<R> BoundedQueue<R> {
             }
             match deadline {
                 None => {
+                    s.consumer_parked = true;
                     s = self.nonempty.wait(s).unwrap_or_else(|p| p.into_inner());
+                    s.consumer_parked = false;
                 }
                 Some(d) => match clock.park_budget(d) {
                     None => return Pop::TimedOut,
                     Some(budget) => {
+                        s.consumer_parked = true;
                         let (guard, _timeout) = self
                             .nonempty
                             .wait_timeout(s, budget)
                             .unwrap_or_else(|p| p.into_inner());
                         s = guard;
+                        s.consumer_parked = false;
                         // A sim clock that cannot move on its own would
                         // spin here forever: the batcher is the only
                         // thread advancing it, so push it to the deadline
@@ -137,17 +202,115 @@ impl<R> BoundedQueue<R> {
     /// Closes the queue: future pushes fail, the consumer drains what is
     /// left and then observes [`Pop::Drained`].
     pub fn close(&self) {
-        let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut s = self.lock();
         s.closed = true;
         drop(s);
         self.nonempty.notify_all();
+        self.room.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{mpsc, Arc};
     use std::time::{Duration, Instant};
+
+    /// How long a woken thread may take to report back before the test
+    /// calls its wake-up lost.
+    const WAKE_TIMEOUT: Duration = Duration::from_secs(10);
+
+    /// Spins until `parked` holds for the queue's state.
+    fn until<R>(q: &BoundedQueue<R>, parked: impl Fn(&State<R>) -> bool) {
+        while !parked(&q.lock()) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_consumer_parked_before_the_push_is_woken() {
+        for deadline in [None, Some(Clock::real().tick_after(Duration::from_secs(60)))] {
+            let q = Arc::new(BoundedQueue::new(4));
+            let (tx, rx) = mpsc::channel();
+            let consumer = {
+                let q = q.clone();
+                std::thread::spawn(move || {
+                    let _ = tx.send(q.pop_until(deadline, &Clock::real()));
+                })
+            };
+            until(&q, |s| s.consumer_parked);
+            q.push(7u32).unwrap();
+            let popped = rx.recv_timeout(WAKE_TIMEOUT).expect("the push must wake the consumer");
+            assert!(matches!(popped, Pop::Item(7)), "{deadline:?}");
+            consumer.join().unwrap();
+            assert!(!q.lock().consumer_parked, "a woken consumer clears its flag");
+        }
+    }
+
+    #[test]
+    fn a_consumer_arriving_after_the_push_takes_the_item_without_parking() {
+        let q = BoundedQueue::new(4);
+        q.push(1u32).unwrap();
+        q.push_many(&mut VecDeque::from([2, 3])).unwrap();
+        assert!(!q.lock().consumer_parked, "nobody parked, so nobody was woken");
+        let clock = Clock::real();
+        for want in 1..=3 {
+            assert!(matches!(q.pop_until(None, &clock), Pop::Item(v) if v == want));
+        }
+    }
+
+    #[test]
+    fn push_many_moves_what_fits_in_order() {
+        let q = BoundedQueue::new(3);
+        q.push(0u32).unwrap();
+        let mut items: VecDeque<u32> = (1..=4).collect();
+        assert_eq!(q.push_many(&mut items), Ok(2));
+        assert_eq!(items, VecDeque::from([3, 4]), "the rest stays with the caller");
+        assert_eq!(q.push_many(&mut items), Err(PushError::Full));
+        assert_eq!(items.len(), 2, "a full queue takes nothing");
+        assert_eq!(q.push_many(&mut VecDeque::new()), Ok(0));
+        let clock = Clock::real();
+        for want in 0..3 {
+            assert!(matches!(q.pop_until(None, &clock), Pop::Item(v) if v == want));
+        }
+        q.close();
+        assert_eq!(q.push_many(&mut items), Err(PushError::Closed));
+    }
+
+    #[test]
+    fn a_producer_parked_for_room_is_woken_by_a_pop_or_close() {
+        for close in [false, true] {
+            let q = Arc::new(BoundedQueue::new(1));
+            q.push(1u32).unwrap();
+            let (tx, rx) = mpsc::channel();
+            let producer = {
+                let q = q.clone();
+                std::thread::spawn(move || {
+                    q.wait_for_room();
+                    let _ = tx.send(q.push(2));
+                })
+            };
+            until(&q, |s| s.producers_parked == 1);
+            if close {
+                q.close();
+            } else {
+                assert!(matches!(q.pop_until(None, &Clock::real()), Pop::Item(1)));
+            }
+            let pushed = rx.recv_timeout(WAKE_TIMEOUT).expect("the producer must be woken");
+            let want = if close { Err(PushError::Closed) } else { Ok(()) };
+            assert_eq!(pushed, want);
+            producer.join().unwrap();
+            assert_eq!(q.lock().producers_parked, 0);
+        }
+    }
+
+    #[test]
+    fn wait_for_room_returns_at_once_when_there_is_room() {
+        let q: BoundedQueue<u32> = BoundedQueue::new(2);
+        q.push(1).unwrap();
+        q.wait_for_room();
+        assert_eq!(q.lock().producers_parked, 0, "never parked");
+    }
 
     #[test]
     fn push_rejects_instead_of_blocking_when_full() {

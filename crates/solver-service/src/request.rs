@@ -2,16 +2,26 @@
 //!
 //! A [`SolveRequest`] is one tridiagonal system plus the bookkeeping the
 //! service needs to route the answer back: a monotonically increasing id
-//! and a [`Ticket`] the submitter holds. The worker that eventually solves
-//! the system fulfils the ticket with a [`SolveResponse`]; the submitter
-//! blocks on [`Ticket::wait`] (or polls [`Ticket::try_take`]) without any
-//! shared channel — each request carries its own one-shot slot, so
-//! responses can never be cross-delivered or duplicated.
+//! and a [`Ticket`] the submitter holds. The system is split in two: the
+//! coefficient [`Matrix`] sits behind an `Arc`, and the request owns only
+//! its right-hand side `d`. Every request of one
+//! [`solve_many_rhs`](crate::SolverService::solve_many_rhs) call shares one
+//! copy of the matrix; a request built from a [`TridiagonalSystem`] moves
+//! that system's vectors into its own `Arc` without copying them. Readers
+//! see the whole system through [`SolveRequest::system`].
+//!
+//! The worker that eventually solves the system fulfils the ticket with a
+//! [`SolveResponse`]; the submitter blocks on [`Ticket::wait`] (or polls
+//! [`Ticket::try_take`]) without any shared channel — each request carries
+//! its own one-shot slot, so responses can never be cross-delivered or
+//! duplicated. The slot wakes its reader only when the reader is parked
+//! in [`Ticket::wait`]: a flag under the slot's mutex records that, so a
+//! put to a ticket nobody waits on (yet) makes no wake-up call.
 
 use gpu_sim::Tick;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-use tridiag_core::{MatrixKey, Real, TridiagonalSystem};
+use tridiag_core::{Matrix, MatrixKey, Real, SystemRef, TridiagonalSystem};
 
 /// A single queued solve: one system plus completion plumbing.
 ///
@@ -22,8 +32,11 @@ use tridiag_core::{MatrixKey, Real, TridiagonalSystem};
 pub struct SolveRequest<T: Real> {
     /// Service-assigned id, unique for the lifetime of the service.
     pub id: u64,
-    /// The system to solve.
-    pub system: TridiagonalSystem<T>,
+    /// The coefficient matrix, shared with every other request that
+    /// solves against it in the same multi-RHS call.
+    pub matrix: Arc<Matrix<T>>,
+    /// This request's right-hand side, `matrix.n()` long.
+    pub d: Vec<T>,
     /// When the request was admitted (start of the latency clock).
     pub submitted_at: Tick,
     /// Absolute completion deadline on the service clock, if the caller
@@ -40,6 +53,18 @@ pub struct SolveRequest<T: Real> {
 }
 
 impl<T: Real> SolveRequest<T> {
+    /// The system to solve, borrowed.
+    #[inline]
+    pub fn system(&self) -> SystemRef<'_, T> {
+        self.matrix.with_rhs(&self.d)
+    }
+
+    /// Number of unknowns.
+    #[inline]
+    pub fn n(&self) -> usize {
+        self.d.len()
+    }
+
     /// Fulfils the request's ticket. Called exactly once by the worker.
     pub(crate) fn fulfil(self, response: SolveResponse<T>) {
         self.slot.put(response);
@@ -102,35 +127,53 @@ impl<T: Real> Ticket<T> {
 /// `Mutex` + `Condvar` (the build is offline; no external oneshot crate).
 #[derive(Debug)]
 pub(crate) struct OneShot<V> {
-    value: Mutex<Option<V>>,
+    slot: Mutex<Slot<V>>,
     ready: Condvar,
+}
+
+#[derive(Debug)]
+struct Slot<V> {
+    value: Option<V>,
+    /// The reader is parked on `ready`. Written and read only under the
+    /// mutex, so a put either sees it set and wakes the reader, or the
+    /// reader sees the value before it parks: no wake-up is lost.
+    parked: bool,
 }
 
 impl<V> OneShot<V> {
     pub(crate) fn new() -> Self {
-        Self { value: Mutex::new(None), ready: Condvar::new() }
+        Self { slot: Mutex::new(Slot { value: None, parked: false }), ready: Condvar::new() }
     }
 
-    /// Stores the value and wakes the waiter. Second puts are a logic
-    /// error upstream and are rejected loudly in debug builds.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Slot<V>> {
+        self.slot.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Stores the value and wakes the reader if it is parked. Second puts
+    /// are a logic error upstream and are rejected loudly in debug builds.
     pub(crate) fn put(&self, v: V) {
-        let mut slot = self.value.lock().unwrap_or_else(|p| p.into_inner());
-        debug_assert!(slot.is_none(), "one-shot fulfilled twice");
-        *slot = Some(v);
+        let mut slot = self.lock();
+        debug_assert!(slot.value.is_none(), "one-shot fulfilled twice");
+        slot.value = Some(v);
+        let parked = slot.parked;
         drop(slot);
-        self.ready.notify_all();
+        if parked {
+            self.ready.notify_one();
+        }
     }
 
     pub(crate) fn try_take(&self) -> Option<V> {
-        self.value.lock().unwrap_or_else(|p| p.into_inner()).take()
+        self.lock().value.take()
     }
 
     pub(crate) fn take_blocking(&self) -> V {
-        let mut slot = self.value.lock().unwrap_or_else(|p| p.into_inner());
+        let mut slot = self.lock();
         loop {
-            if let Some(v) = slot.take() {
+            if let Some(v) = slot.value.take() {
+                slot.parked = false;
                 return v;
             }
+            slot.parked = true;
             slot = self.ready.wait(slot).unwrap_or_else(|p| p.into_inner());
         }
     }
@@ -183,9 +226,23 @@ pub fn make_request_keyed<T: Real>(
     deadline: Option<Tick>,
     matrix_key: Option<MatrixKey>,
 ) -> (SolveRequest<T>, Ticket<T>) {
+    let (matrix, d) = system.into_parts();
+    request_for(id, Arc::new(matrix), d, submitted_at, deadline, matrix_key)
+}
+
+/// A paired request + ticket solving `matrix` against `d`: the one
+/// constructor behind every `make_request*` and the service's admission.
+pub(crate) fn request_for<T: Real>(
+    id: u64,
+    matrix: Arc<Matrix<T>>,
+    d: Vec<T>,
+    submitted_at: Tick,
+    deadline: Option<Tick>,
+    matrix_key: Option<MatrixKey>,
+) -> (SolveRequest<T>, Ticket<T>) {
     let slot = Arc::new(OneShot::new());
     let request =
-        SolveRequest { id, system, submitted_at, deadline, matrix_key, slot: slot.clone() };
+        SolveRequest { id, matrix, d, submitted_at, deadline, matrix_key, slot: slot.clone() };
     (request, Ticket { id, slot })
 }
 
@@ -229,6 +286,59 @@ mod tests {
         let (req, _ticket) = make_request_at(2, sys(), 1_000, Some(5_000));
         assert_eq!(req.submitted_at, 1_000);
         assert_eq!(req.deadline, Some(5_000));
+    }
+
+    /// How long a woken reader may take to report back before the test
+    /// calls its wake-up lost.
+    const WAKE_TIMEOUT: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn a_reader_parked_before_the_put_is_woken() {
+        let (req, ticket) = make_request(3, sys());
+        let slot = ticket.slot.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            let _ = tx.send(ticket.wait().id);
+        });
+        while !slot.lock().parked {
+            std::thread::yield_now();
+        }
+        req.fulfil(response(3));
+        assert_eq!(rx.recv_timeout(WAKE_TIMEOUT).expect("the put must wake the reader"), 3);
+        reader.join().unwrap();
+        assert!(!slot.lock().parked, "a woken reader clears its flag");
+    }
+
+    #[test]
+    fn a_reader_arriving_after_the_put_takes_without_parking() {
+        let (req, ticket) = make_request(4, sys());
+        req.fulfil(response(4));
+        assert!(!ticket.slot.lock().parked, "nobody parked, so nobody was woken");
+        assert_eq!(ticket.wait().id, 4);
+    }
+
+    #[test]
+    fn polling_then_waiting_sees_the_one_answer() {
+        let (req, ticket) = make_request(5, sys());
+        assert!(ticket.try_take().is_none(), "nothing to take yet");
+        let worker = std::thread::spawn(move || req.fulfil(response(5)));
+        assert_eq!(ticket.wait().id, 5);
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn requests_share_the_matrix_and_own_their_rhs() {
+        let system = sys();
+        let (req, _ticket) = make_request(6, system.clone());
+        assert_eq!(req.n(), 4);
+        let view = req.system();
+        assert_eq!(
+            (view.a, view.b, view.c, view.d),
+            (&system.a[..], &system.b[..], &system.c[..], &system.d[..])
+        );
+        let (other, _t) = request_for(7, req.matrix.clone(), vec![2.0; 4], 0, None, req.matrix_key);
+        assert!(Arc::ptr_eq(&req.matrix, &other.matrix), "one copy of the matrix");
+        assert_eq!(other.system().d, &[2.0; 4]);
     }
 
     #[test]

@@ -10,10 +10,22 @@
 //!
 //! * **Admission** validates the system, assigns an id, and pushes into
 //!   the bounded queue — failing fast with [`ServiceError::QueueFull`]
-//!   under overload.
+//!   under overload. One function admits every request: `submit` hands it
+//!   a batch of one, and [`SolverService::solve_many_rhs`] a batch of one
+//!   request per right-hand side, all sharing one copy of the matrix and
+//!   pushed with one queue operation. A batch larger than the free
+//!   capacity goes in pieces: after a piece fits, the caller parks until
+//!   the batcher has made room; a push that fits nothing is a rejection,
+//!   with the same single bounded retry as before.
+//! * **Wake-ups** go only to a parked thread: the queue notifies the
+//!   batcher, and a ticket its waiter, only when a flag under their mutex
+//!   says the other side is waiting (see [`crate::queue`]).
 //! * **The batcher** owns the [`BucketTable`], sleeping exactly until its
 //!   earliest linger deadline, and routes each flushed batch to a device
 //!   queue via the pool's [`RoutingPolicy`](device_pool::RoutingPolicy).
+//!   It traces each request's `Admit` (stamped with its admission tick)
+//!   as it takes the request from the queue, so in the trace every
+//!   `Admit` precedes the `Flush` that carries it.
 //! * **Workers** are pinned one-per-device (or share device 0 when the
 //!   service runs single-device). An idle worker steals batches from the
 //!   longest other queue; a worker whose device is lost re-routes its
@@ -33,16 +45,17 @@ use crate::error::ServiceError;
 use crate::metrics::{DeviceSnapshot, MetricsSnapshot, ServiceMetrics};
 use crate::planner::PlanCache;
 use crate::queue::{BoundedQueue, Pop, PushError};
-use crate::request::{make_request_keyed, SolveRequest, SolveResponse, Ticket};
+use crate::request::{request_for, SolveRequest, SolveResponse, Ticket};
 use crate::trace::{RejectReason, TraceEvent, TraceHandle};
 use device_pool::{DevicePool, PoolConfig, Pop as DevicePop, StealQueues};
 use factor_cache::SharedFactorCache;
 use gpu_sim::{tick_duration, Clock, Launcher, Tick};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tridiag_core::{MatrixKey, Real, TridiagError, TridiagonalSystem};
+use tridiag_core::{Matrix, MatrixKey, Real, TridiagError, TridiagonalSystem};
 
 #[cfg(doc)]
 use crate::batcher::FlushReason;
@@ -355,94 +368,151 @@ impl<T: Real> SolverService<T> {
         system: TridiagonalSystem<T>,
         deadline: Option<Tick>,
     ) -> Result<Ticket<T>, ServiceError> {
-        // With the factor cache or certified catalog on, every admitted
-        // system is identity-hashed so equal matrices batch together and
-        // hit the warm tier / share one analysis verdict.
-        let cfg = &self.shared.dispatch_cfg;
-        let matrix_key = (cfg.factor_cache.is_some() || cfg.certified.is_some())
-            .then(|| MatrixKey::of_system(&system));
-        self.submit_keyed(system, deadline, matrix_key)
+        self.submit_one(system, deadline, false)
     }
 
-    /// The fully general submission: explicit deadline and matrix key.
-    /// [`SolverService::solve_many_rhs`] uses this to hash the shared
-    /// matrix once instead of once per right-hand side.
-    fn submit_keyed(
+    /// Admits one system as a batch of one; `retry` grants the single
+    /// bounded retry on a full queue. The system's vectors move into the
+    /// request without copying.
+    fn submit_one(
         &self,
         system: TridiagonalSystem<T>,
         deadline: Option<Tick>,
-        matrix_key: Option<MatrixKey>,
+        retry: bool,
     ) -> Result<Ticket<T>, ServiceError> {
-        let n = system.n();
+        let matrix_key = self.keyed().then(|| MatrixKey::of_system(&system));
+        let (matrix, d) = system.into_parts();
+        let mut tickets = self.admit(Arc::new(matrix), [d], deadline, matrix_key, retry)?;
+        Ok(tickets.pop().expect("one right-hand side, one ticket"))
+    }
+
+    /// Whether admitted systems are identity-hashed: with the factor cache
+    /// or the certified catalog on, equal matrices batch together and hit
+    /// the warm tier / share one analysis verdict.
+    fn keyed(&self) -> bool {
+        let cfg = &self.shared.dispatch_cfg;
+        cfg.factor_cache.is_some() || cfg.certified.is_some()
+    }
+
+    /// The one admission path: one request per right-hand side in `rhs`,
+    /// all sharing `matrix`, its key and `deadline`, pushed in order (see
+    /// [`Self::enqueue`]). Returns the tickets in `rhs` order.
+    fn admit(
+        &self,
+        matrix: Arc<Matrix<T>>,
+        rhs: impl IntoIterator<Item = Vec<T>, IntoIter: ExactSizeIterator>,
+        deadline: Option<Tick>,
+        matrix_key: Option<MatrixKey>,
+        retry: bool,
+    ) -> Result<Vec<Ticket<T>>, ServiceError> {
+        let n = matrix.n();
         let now = self.shared.clock.now();
         if n < 2 {
-            self.shared.trace.emit(|| TraceEvent::Reject {
-                at: now,
-                n: n as u64,
-                reason: RejectReason::Invalid,
-            });
+            self.reject(now, n, RejectReason::Invalid);
             return Err(ServiceError::InvalidRequest(TridiagError::SizeTooSmall { n, min: 2 }));
         }
         if let Some(d) = deadline {
             if d <= now {
-                self.shared.trace.emit(|| TraceEvent::Reject {
-                    at: now,
-                    n: n as u64,
-                    reason: RejectReason::DeadlinePast,
-                });
+                self.reject(now, n, RejectReason::DeadlinePast);
                 return Err(ServiceError::DeadlineExceeded { deadline: tick_duration(now, d) });
             }
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (request, ticket) = make_request_keyed(id, system, now, deadline, matrix_key);
-        match self.shared.queue.push(request) {
-            Ok(()) => {
-                self.shared.metrics.on_submit();
-                self.shared.trace.emit(|| TraceEvent::Admit { at: now, id, n: n as u64 });
-                Ok(ticket)
-            }
-            Err(PushError::Full) => {
-                self.shared.metrics.on_reject();
-                self.shared.trace.emit(|| TraceEvent::Reject {
-                    at: now,
-                    n: n as u64,
-                    reason: RejectReason::QueueFull,
-                });
-                Err(ServiceError::QueueFull {
-                    capacity: self.shared.queue.capacity(),
-                    retry_after: self.retry_after_hint(),
-                })
-            }
-            Err(PushError::Closed) => {
-                self.shared.metrics.on_reject();
-                self.shared.trace.emit(|| TraceEvent::Reject {
-                    at: now,
-                    n: n as u64,
-                    reason: RejectReason::ShuttingDown,
-                });
-                Err(ServiceError::ShuttingDown)
+        let rhs = rhs.into_iter();
+        let count = rhs.len();
+        let first_id = self.next_id.fetch_add(count as u64, Ordering::Relaxed);
+        let mut pending = VecDeque::with_capacity(count);
+        let mut tickets = Vec::with_capacity(count);
+        for (id, d) in (first_id..).zip(rhs) {
+            let (request, ticket) = request_for(id, matrix.clone(), d, now, deadline, matrix_key);
+            pending.push_back(request);
+            tickets.push(ticket);
+        }
+        self.enqueue(&mut pending, retry)?;
+        Ok(tickets)
+    }
+
+    /// Pushes `pending` onto the admission queue in order: one queue
+    /// operation when everything fits. Each push stamps what it offers
+    /// with the current tick, so a request's admission tick is that of the
+    /// push that admitted it. When only a piece fits, the rest waits for
+    /// the batcher to make room and goes in the next piece. A push that
+    /// fits nothing is a rejection; with `retry` (and a `retry_after` hint)
+    /// the caller backs off once for the hinted duration and tries again,
+    /// and a second rejection in a row surfaces. Requests already pushed
+    /// when an error returns are still served.
+    fn enqueue(
+        &self,
+        pending: &mut VecDeque<SolveRequest<T>>,
+        retry: bool,
+    ) -> Result<(), ServiceError> {
+        let shared = &self.shared;
+        let mut retried = false;
+        while let Some(front) = pending.front() {
+            let (at, n) = (shared.clock.now(), front.n());
+            // One push admits at most `capacity` requests.
+            let offered = pending.iter_mut().take(shared.queue.capacity());
+            offered.for_each(|r| r.submitted_at = at);
+            match shared.queue.push_many(pending) {
+                Ok(admitted) => {
+                    shared.metrics.on_submit(admitted as u64);
+                    if !pending.is_empty() {
+                        retried = false;
+                        shared.queue.wait_for_room();
+                    }
+                }
+                Err(PushError::Full) => {
+                    shared.metrics.on_reject();
+                    self.reject(at, n, RejectReason::QueueFull);
+                    let retry_after = self.retry_after_hint();
+                    match retry_after {
+                        Some(hint) if retry && !retried => {
+                            retried = true;
+                            shared.clock.sleep(hint);
+                        }
+                        _ => {
+                            let capacity = shared.queue.capacity();
+                            return Err(ServiceError::QueueFull { capacity, retry_after });
+                        }
+                    }
+                }
+                Err(PushError::Closed) => {
+                    shared.metrics.on_reject();
+                    self.reject(at, n, RejectReason::ShuttingDown);
+                    return Err(ServiceError::ShuttingDown);
+                }
             }
         }
+        Ok(())
+    }
+
+    /// Traces one rejected admission of an `n`-row system.
+    fn reject(&self, at: Tick, n: usize, reason: RejectReason) {
+        self.shared.trace.emit(|| TraceEvent::Reject { at, n: n as u64, reason });
     }
 
     /// Solves one matrix against many right-hand sides: the multi-RHS
     /// serving tier's front door.
     ///
-    /// The matrix identity is hashed **once** (not once per RHS), every
+    /// The matrix is validated, copied and identity-hashed **once** (not
+    /// once per RHS); each request owns only its right-hand side and
+    /// shares the matrix, and all of them are admitted together. Every
     /// request rides the same key, so the batcher coalesces them into
     /// shared flushes and — with [`ServiceConfig::factor_cache`] set —
     /// everything after the first flush is served from the cached
     /// factorization by back-substitution alone. Without a cache the
     /// requests still co-batch; they are just served cold.
     ///
-    /// Submission honours backpressure the same way [`submit_wait`]
-    /// does: a `QueueFull` with a `retry_after` hint gets one bounded
-    /// client-side retry per request before the rejection surfaces.
-    /// Responses come back in `rhs_list` order.
+    /// Admission honours backpressure the way [`submit_wait`] does: a
+    /// push that fits nothing gets one bounded client-side retry on a
+    /// `retry_after` hint before the rejection surfaces. A call with more
+    /// right-hand sides than the queue has room for is admitted in
+    /// pieces. Responses come back in `rhs_list` order; an empty list
+    /// returns `Ok(vec![])`.
     ///
     /// # Errors
     /// [`ServiceError::InvalidRequest`] for mismatched array lengths or
-    /// undersized systems; admission errors from the underlying submits.
+    /// undersized systems, before any request is admitted; admission
+    /// errors otherwise.
     ///
     /// [`submit_wait`]: SolverService::submit_wait
     pub fn solve_many_rhs(
@@ -452,28 +522,17 @@ impl<T: Real> SolverService<T> {
         c: &[T],
         rhs_list: &[Vec<T>],
     ) -> Result<Vec<SolveResponse<T>>, ServiceError> {
-        let dispatch_cfg = &self.shared.dispatch_cfg;
-        let matrix_key = (dispatch_cfg.factor_cache.is_some() || dispatch_cfg.certified.is_some())
-            .then(|| MatrixKey::of::<T>(a, b, c));
-        let mut tickets = Vec::with_capacity(rhs_list.len());
-        for d in rhs_list {
-            let system = TridiagonalSystem::new(a.to_vec(), b.to_vec(), c.to_vec(), d.clone())
-                .map_err(ServiceError::InvalidRequest)?;
-            let ticket = match self.submit_keyed(system, None, matrix_key) {
-                Ok(ticket) => ticket,
-                Err(ServiceError::QueueFull { retry_after: Some(hint), .. })
-                    if self.client_retry =>
-                {
-                    self.shared.clock.sleep(hint);
-                    let system =
-                        TridiagonalSystem::new(a.to_vec(), b.to_vec(), c.to_vec(), d.clone())
-                            .map_err(ServiceError::InvalidRequest)?;
-                    self.submit_keyed(system, None, matrix_key)?
-                }
-                Err(e) => return Err(e),
-            };
-            tickets.push(ticket);
+        if rhs_list.is_empty() {
+            return Ok(Vec::new());
         }
+        let matrix = Matrix::new(a.to_vec(), b.to_vec(), c.to_vec())
+            .map_err(ServiceError::InvalidRequest)?;
+        for d in rhs_list {
+            matrix.check_rhs(d).map_err(ServiceError::InvalidRequest)?;
+        }
+        let matrix_key = self.keyed().then(|| MatrixKey::of::<T>(a, b, c));
+        let rhs = rhs_list.iter().cloned();
+        let tickets = self.admit(Arc::new(matrix), rhs, None, matrix_key, self.client_retry)?;
         Ok(tickets.into_iter().map(Ticket::wait).collect())
     }
 
@@ -486,14 +545,7 @@ impl<T: Real> SolverService<T> {
         &self,
         system: TridiagonalSystem<T>,
     ) -> Result<SolveResponse<T>, ServiceError> {
-        match self.submit(system.clone()) {
-            Ok(ticket) => Ok(ticket.wait()),
-            Err(ServiceError::QueueFull { retry_after: Some(hint), .. }) if self.client_retry => {
-                self.shared.clock.sleep(hint);
-                Ok(self.submit(system)?.wait())
-            }
-            Err(e) => Err(e),
-        }
+        Ok(self.submit_one(system, None, self.client_retry)?.wait())
     }
 
     /// Current metrics snapshot (queue depth, plan-cache stats, and
@@ -580,6 +632,11 @@ fn batcher_loop<T: Real>(
         let deadline = table.next_deadline();
         match shared.queue.pop_until(deadline, &shared.clock) {
             Pop::Item(request) => {
+                shared.trace.emit(|| TraceEvent::Admit {
+                    at: request.submitted_at,
+                    id: request.id,
+                    n: request.n() as u64,
+                });
                 let now = shared.clock.now();
                 if let Some(flush) = table.insert(request, now) {
                     shared.route_flush(flush);

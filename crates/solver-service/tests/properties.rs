@@ -128,12 +128,12 @@ proptest! {
             );
             if let Some(flush) = table.insert(req, now) {
                 prop_assert_eq!(flush.requests.len(), target);
-                prop_assert!(flush.requests.iter().all(|r| r.system.n() == flush.n));
+                prop_assert!(flush.requests.iter().all(|r| r.n() == flush.n));
                 flushed_ids.extend(flush.requests.iter().map(|r| r.id));
             }
         }
         for flush in table.flush_all() {
-            prop_assert!(flush.requests.iter().all(|r| r.system.n() == flush.n));
+            prop_assert!(flush.requests.iter().all(|r| r.n() == flush.n));
             flushed_ids.extend(flush.requests.iter().map(|r| r.id));
         }
         // Conservation: every inserted request appears in exactly one flush.

@@ -8,7 +8,7 @@
 
 use crate::error::{Result, TridiagError};
 use crate::real::Real;
-use crate::system::TridiagonalSystem;
+use crate::system::{SystemRef, TridiagonalSystem};
 
 /// A batch of `count` systems, each of size `n`, stored contiguously.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,11 +33,13 @@ impl<T: Real> SystemBatch<T> {
 
     /// [`SystemBatch::from_systems`] over borrowed systems, wherever they
     /// live: each system is copied once, straight into the batch arrays.
-    pub fn gather<'a>(systems: impl IntoIterator<Item = &'a TridiagonalSystem<T>>) -> Result<Self>
+    pub fn gather<'a, S: Into<SystemRef<'a, T>>>(
+        systems: impl IntoIterator<Item = S>,
+    ) -> Result<Self>
     where
         T: 'a,
     {
-        let mut systems = systems.into_iter().peekable();
+        let mut systems = systems.into_iter().map(Into::into).peekable();
         let Some(n) = systems.peek().map(|s| s.n()) else {
             return Err(TridiagError::SizeTooSmall { n: 0, min: 1 });
         };
@@ -58,10 +60,10 @@ impl<T: Real> SystemBatch<T> {
                     got: s.n(),
                 });
             }
-            batch.a.extend_from_slice(&s.a);
-            batch.b.extend_from_slice(&s.b);
-            batch.c.extend_from_slice(&s.c);
-            batch.d.extend_from_slice(&s.d);
+            batch.a.extend_from_slice(s.a);
+            batch.b.extend_from_slice(s.b);
+            batch.c.extend_from_slice(s.c);
+            batch.d.extend_from_slice(s.d);
             batch.count += 1;
         }
         Ok(batch)

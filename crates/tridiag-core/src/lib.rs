@@ -4,7 +4,9 @@
 //! Solvers on the GPU* (Zhang, Cohen & Owens, PPoPP 2010):
 //!
 //! * [`TridiagonalSystem`] / [`SystemBatch`] — single and batched systems,
-//!   stored in the paper's five-contiguous-arrays layout;
+//!   stored in the paper's five-contiguous-arrays layout; a [`Matrix`]
+//!   shared by many right-hand sides, and [`SystemRef`], the borrowed view
+//!   of one system that the residual and the batch gather read;
 //! * [`workload`] — the evaluation's matrix families (diagonally dominant,
 //!   close-values-in-rows, Poisson stencil, random);
 //! * [`residual`] — the `||Ax − d||` accuracy metrics of §5.4;
@@ -34,5 +36,5 @@ pub use error::{require_pow2, Result, TridiagError};
 pub use identity::{structure_tag, MatrixKey, StructureTag};
 pub use periodic::PeriodicTridiagonalSystem;
 pub use real::Real;
-pub use system::TridiagonalSystem;
+pub use system::{Matrix, SystemRef, TridiagonalSystem};
 pub use workload::{dominant_batch, Generator, Workload};

@@ -12,9 +12,101 @@
 //!
 //! `a[0]` and `c[n-1]` are stored but must be zero; every constructor and
 //! generator enforces this so kernels can rely on it.
+//!
+//! A [`Matrix`] is the coefficient part alone, which many right-hand
+//! sides can share, and a [`SystemRef`] borrows the four diagonals of one
+//! system wherever they live: in a [`TridiagonalSystem`], or in a shared
+//! matrix plus a separately held right-hand side.
 
 use crate::error::{Result, TridiagError};
 use crate::real::Real;
+
+/// The three diagonals of a tridiagonal matrix, without a right-hand side.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Matrix<T: Real> {
+    /// Sub-diagonal, `a[0] == 0`.
+    pub a: Vec<T>,
+    /// Main diagonal.
+    pub b: Vec<T>,
+    /// Super-diagonal, `c[n-1] == 0`.
+    pub c: Vec<T>,
+}
+
+impl<T: Real> Matrix<T> {
+    /// Builds a matrix from its diagonals, validating shapes and the
+    /// boundary-zero convention.
+    pub fn new(a: Vec<T>, b: Vec<T>, c: Vec<T>) -> Result<Self> {
+        let n = b.len();
+        if n == 0 {
+            return Err(TridiagError::SizeTooSmall { n: 0, min: 1 });
+        }
+        for (what, len) in [("a", a.len()), ("c", c.len())] {
+            if len != n {
+                return Err(TridiagError::DimensionMismatch { what, expected: n, got: len });
+            }
+        }
+        if a[0] != T::ZERO {
+            return Err(TridiagError::InvalidConfig { what: "a[0] must be zero" });
+        }
+        if c[n - 1] != T::ZERO {
+            return Err(TridiagError::InvalidConfig { what: "c[n-1] must be zero" });
+        }
+        Ok(Self { a, b, c })
+    }
+
+    /// Number of unknowns.
+    #[inline]
+    pub fn n(&self) -> usize {
+        self.b.len()
+    }
+
+    /// Checks that `d` is a right-hand side of this matrix's size.
+    pub fn check_rhs(&self, d: &[T]) -> Result<()> {
+        if d.len() != self.n() {
+            return Err(TridiagError::DimensionMismatch {
+                what: "d",
+                expected: self.n(),
+                got: d.len(),
+            });
+        }
+        Ok(())
+    }
+
+    /// The system `A x = d` for this matrix, borrowed.
+    #[inline]
+    pub fn with_rhs<'a>(&'a self, d: &'a [T]) -> SystemRef<'a, T> {
+        SystemRef { a: &self.a, b: &self.b, c: &self.c, d }
+    }
+}
+
+/// One tridiagonal system, borrowed: the four diagonals as slices of
+/// equal length, with the same conventions as [`TridiagonalSystem`].
+#[derive(Debug, Clone, Copy)]
+pub struct SystemRef<'a, T: Real> {
+    /// Sub-diagonal, `a[0] == 0`.
+    pub a: &'a [T],
+    /// Main diagonal.
+    pub b: &'a [T],
+    /// Super-diagonal, `c[n-1] == 0`.
+    pub c: &'a [T],
+    /// Right-hand side.
+    pub d: &'a [T],
+}
+
+impl<T: Real> SystemRef<'_, T> {
+    /// Number of unknowns.
+    #[inline]
+    pub fn n(&self) -> usize {
+        self.b.len()
+    }
+}
+
+impl<'a, T: Real> From<&'a TridiagonalSystem<T>> for SystemRef<'a, T> {
+    #[inline]
+    fn from(system: &'a TridiagonalSystem<T>) -> Self {
+        SystemRef { a: &system.a, b: &system.b, c: &system.c, d: &system.d }
+    }
+}
 
 /// One tridiagonal system of `n` equations.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,21 +125,9 @@ impl<T: Real> TridiagonalSystem<T> {
     /// Builds a system from the four diagonals, validating shapes and the
     /// boundary-zero convention.
     pub fn new(a: Vec<T>, b: Vec<T>, c: Vec<T>, d: Vec<T>) -> Result<Self> {
-        let n = b.len();
-        if n == 0 {
-            return Err(TridiagError::SizeTooSmall { n: 0, min: 1 });
-        }
-        for (what, len) in [("a", a.len()), ("c", c.len()), ("d", d.len())] {
-            if len != n {
-                return Err(TridiagError::DimensionMismatch { what, expected: n, got: len });
-            }
-        }
-        if a[0] != T::ZERO {
-            return Err(TridiagError::InvalidConfig { what: "a[0] must be zero" });
-        }
-        if c[n - 1] != T::ZERO {
-            return Err(TridiagError::InvalidConfig { what: "c[n-1] must be zero" });
-        }
+        let matrix = Matrix::new(a, b, c)?;
+        matrix.check_rhs(&d)?;
+        let Matrix { a, b, c } = matrix;
         Ok(Self { a, b, c, d })
     }
 
@@ -55,6 +135,13 @@ impl<T: Real> TridiagonalSystem<T> {
     #[inline]
     pub fn n(&self) -> usize {
         self.b.len()
+    }
+
+    /// Splits the system into its matrix and its right-hand side, moving
+    /// the vectors without copying them.
+    pub fn into_parts(self) -> (Matrix<T>, Vec<T>) {
+        let Self { a, b, c, d } = self;
+        (Matrix { a, b, c }, d)
     }
 
     /// Constant-coefficient (Toeplitz) system with the given stencil and
@@ -159,6 +246,22 @@ mod tests {
             vec![1.0, 1.0],
         );
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn a_matrix_and_its_rhs_view_the_same_system() {
+        let s = sys();
+        let view = SystemRef::from(&s);
+        let (matrix, d) = s.clone().into_parts();
+        assert_eq!(matrix, Matrix::new(s.a.clone(), s.b.clone(), s.c.clone()).unwrap());
+        let rebuilt = matrix.with_rhs(&d);
+        assert_eq!((rebuilt.a, rebuilt.b, rebuilt.c, rebuilt.d), (view.a, view.b, view.c, view.d));
+        assert_eq!(rebuilt.n(), 4);
+        assert!(matches!(
+            matrix.check_rhs(&[1.0; 3]),
+            Err(TridiagError::DimensionMismatch { what: "d", expected: 4, got: 3 })
+        ));
+        assert!(Matrix::new(vec![1.0f32, 1.0], vec![4.0, 4.0], vec![1.0, 0.0]).is_err());
     }
 
     #[test]
