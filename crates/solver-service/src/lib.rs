@@ -9,7 +9,7 @@
 //!    blocking submitters — load is shed at the edge. A request shares
 //!    its coefficient matrix behind an `Arc` ([`request`]), so a
 //!    multi-RHS call copies its matrix once and enters the queue with one
-//!    push; the queue and the tickets wake only parked threads.
+//!    push; a ticket wakes its waiter only when the waiter is parked.
 //! 2. **Micro-batching** ([`batcher`]): requests accumulate in per-size
 //!    buckets (systems of different `n` never share a kernel launch) and
 //!    flush at a target batch size or a max-linger deadline, whichever

@@ -62,7 +62,7 @@ impl<T: Real> SolveRequest<T> {
     /// Number of unknowns.
     #[inline]
     pub fn n(&self) -> usize {
-        self.d.len()
+        self.matrix.n()
     }
 
     /// Fulfils the request's ticket. Called exactly once by the worker.

@@ -14,12 +14,13 @@
 //!   a batch of one, and [`SolverService::solve_many_rhs`] a batch of one
 //!   request per right-hand side, all sharing one copy of the matrix and
 //!   pushed with one queue operation. A batch larger than the free
-//!   capacity goes in pieces: after a piece fits, the caller parks until
-//!   the batcher has made room; a push that fits nothing is a rejection,
-//!   with the same single bounded retry as before.
-//! * **Wake-ups** go only to a parked thread: the queue notifies the
-//!   batcher, and a ticket its waiter, only when a flag under their mutex
-//!   says the other side is waiting (see [`crate::queue`]).
+//!   capacity goes in pieces when [`ServiceConfig::client_retry`] is on:
+//!   after a piece fits, the caller parks until the batcher has made room.
+//!   A push that fits nothing is a rejection, with the same single bounded
+//!   retry as before. With the retry off, what does not fit is rejected.
+//! * **Wake-ups**: a push always wakes the batcher; a ticket wakes its
+//!   waiter only when a flag under its mutex says the waiter is parked
+//!   (see [`crate::request`]).
 //! * **The batcher** owns the [`BucketTable`], sleeping exactly until its
 //!   earliest linger deadline, and routes each flushed batch to a device
 //!   queue via the pool's [`RoutingPolicy`](device_pool::RoutingPolicy).
@@ -123,9 +124,12 @@ pub struct ServiceConfig {
     pub backoff_base: Duration,
     /// Retry backoff ceiling.
     pub backoff_max: Duration,
-    /// When `true`, [`SolverService::submit_wait`] honors a
-    /// `QueueFull::retry_after` hint with one bounded client-side retry
-    /// before surfacing the rejection.
+    /// When `true`, [`SolverService::submit_wait`] and
+    /// [`SolverService::solve_many_rhs`] honor a `QueueFull::retry_after`
+    /// hint with one bounded client-side retry before surfacing the
+    /// rejection, and a `solve_many_rhs` call larger than the queue's free
+    /// room waits for room between its pieces. When `false`, neither
+    /// retries nor waits.
     pub client_retry: bool,
     /// The simulated device the GPU engines run on when no
     /// [`pool`](Self::pool) is configured.
@@ -396,7 +400,9 @@ impl<T: Real> SolverService<T> {
 
     /// The one admission path: one request per right-hand side in `rhs`,
     /// all sharing `matrix`, its key and `deadline`, pushed in order (see
-    /// [`Self::enqueue`]). Returns the tickets in `rhs` order.
+    /// [`Self::enqueue`]). Every right-hand side is checked against the
+    /// matrix before any request is pushed. Returns the tickets in `rhs`
+    /// order.
     fn admit(
         &self,
         matrix: Arc<Matrix<T>>,
@@ -423,6 +429,10 @@ impl<T: Real> SolverService<T> {
         let mut pending = VecDeque::with_capacity(count);
         let mut tickets = Vec::with_capacity(count);
         for (id, d) in (first_id..).zip(rhs) {
+            if let Err(e) = matrix.check_rhs(&d) {
+                self.reject(now, n, RejectReason::Invalid);
+                return Err(ServiceError::InvalidRequest(e));
+            }
             let (request, ticket) = request_for(id, matrix.clone(), d, now, deadline, matrix_key);
             pending.push_back(request);
             tickets.push(ticket);
@@ -434,12 +444,13 @@ impl<T: Real> SolverService<T> {
     /// Pushes `pending` onto the admission queue in order: one queue
     /// operation when everything fits. Each push stamps what it offers
     /// with the current tick, so a request's admission tick is that of the
-    /// push that admitted it. When only a piece fits, the rest waits for
-    /// the batcher to make room and goes in the next piece. A push that
-    /// fits nothing is a rejection; with `retry` (and a `retry_after` hint)
-    /// the caller backs off once for the hinted duration and tries again,
-    /// and a second rejection in a row surfaces. Requests already pushed
-    /// when an error returns are still served.
+    /// push that admitted it. A push that fits nothing is a rejection;
+    /// with `retry` (and a `retry_after` hint) the caller backs off once
+    /// for the hinted duration and tries again, and a second rejection in
+    /// a row surfaces. When only a piece fits, with `retry` the rest waits
+    /// for the batcher to make room and goes in the next piece; without
+    /// it, the rest is rejected. Requests already pushed when an error
+    /// returns are still served.
     fn enqueue(
         &self,
         pending: &mut VecDeque<SolveRequest<T>>,
@@ -455,30 +466,33 @@ impl<T: Real> SolverService<T> {
             match shared.queue.push_many(pending) {
                 Ok(admitted) => {
                     shared.metrics.on_submit(admitted as u64);
-                    if !pending.is_empty() {
-                        retried = false;
+                    retried = false;
+                    if pending.is_empty() {
+                        break;
+                    }
+                    if retry {
                         shared.queue.wait_for_room();
+                        continue;
                     }
                 }
-                Err(PushError::Full) => {
-                    shared.metrics.on_reject();
-                    self.reject(at, n, RejectReason::QueueFull);
-                    let retry_after = self.retry_after_hint();
-                    match retry_after {
-                        Some(hint) if retry && !retried => {
-                            retried = true;
-                            shared.clock.sleep(hint);
-                        }
-                        _ => {
-                            let capacity = shared.queue.capacity();
-                            return Err(ServiceError::QueueFull { capacity, retry_after });
-                        }
-                    }
-                }
+                Err(PushError::Full) => {}
                 Err(PushError::Closed) => {
                     shared.metrics.on_reject();
                     self.reject(at, n, RejectReason::ShuttingDown);
                     return Err(ServiceError::ShuttingDown);
+                }
+            }
+            shared.metrics.on_reject();
+            self.reject(at, n, RejectReason::QueueFull);
+            let retry_after = self.retry_after_hint();
+            match retry_after {
+                Some(hint) if retry && !retried => {
+                    retried = true;
+                    shared.clock.sleep(hint);
+                }
+                _ => {
+                    let capacity = shared.queue.capacity();
+                    return Err(ServiceError::QueueFull { capacity, retry_after });
                 }
             }
         }
@@ -506,8 +520,11 @@ impl<T: Real> SolverService<T> {
     /// push that fits nothing gets one bounded client-side retry on a
     /// `retry_after` hint before the rejection surfaces. A call with more
     /// right-hand sides than the queue has room for is admitted in
-    /// pieces. Responses come back in `rhs_list` order; an empty list
-    /// returns `Ok(vec![])`.
+    /// pieces, parking between them until the batcher makes room; with
+    /// [`ServiceConfig::client_retry`] off it is rejected with
+    /// [`ServiceError::QueueFull`] instead, once the first piece is in.
+    /// Responses come back in `rhs_list` order; an empty list returns
+    /// `Ok(vec![])`.
     ///
     /// # Errors
     /// [`ServiceError::InvalidRequest`] for mismatched array lengths or
@@ -527,9 +544,6 @@ impl<T: Real> SolverService<T> {
         }
         let matrix = Matrix::new(a.to_vec(), b.to_vec(), c.to_vec())
             .map_err(ServiceError::InvalidRequest)?;
-        for d in rhs_list {
-            matrix.check_rhs(d).map_err(ServiceError::InvalidRequest)?;
-        }
         let matrix_key = self.keyed().then(|| MatrixKey::of::<T>(a, b, c));
         let rhs = rhs_list.iter().cloned();
         let tickets = self.admit(Arc::new(matrix), rhs, None, matrix_key, self.client_retry)?;

@@ -2,16 +2,17 @@
 //! * `solve_many_rhs`'s contract — answers in `rhs_list` order and
 //!   bit-identical to one `submit` per right-hand side, validation before
 //!   any request is admitted, the empty call, and calls larger than the
-//!   queue;
+//!   queue, with and without the client retry;
+//! * one validation for both front doors — a `submit` whose right-hand
+//!   side does not fit its matrix is rejected like a `solve_many_rhs` one;
 //! * trace order — every request's `Admit` precedes the `Flush` carrying
 //!   it, with `submit` and `solve_many_rhs` callers racing;
-//! * lost wake-ups — the queue and the tickets wake only parked threads,
-//!   and a stress run must still answer every ticket within a fixed
-//!   timeout.
+//! * lost wake-ups — the tickets wake only parked threads, and a stress
+//!   run must still answer every ticket within a fixed timeout.
 
 use solver_service::{
-    CpuEngine, Engine, ServiceConfig, ServiceError, SolverService, TraceEvent, TraceHandle,
-    TraceSink,
+    CpuEngine, Engine, RejectReason, ServiceConfig, ServiceError, SolverService, TraceEvent,
+    TraceHandle, TraceSink,
 };
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc, Mutex};
@@ -104,6 +105,47 @@ fn a_call_larger_than_the_queue_is_admitted_in_pieces() {
     let snap = service.shutdown();
     assert_eq!(snap.submitted, 100);
     assert_eq!(snap.rejected, 0, "waiting for room is not a rejection");
+}
+
+#[test]
+fn without_the_client_retry_a_call_larger_than_the_queue_is_rejected() {
+    let (system, rhs) = matrix_and_rhs(5, 64, 100);
+    let config = ServiceConfig { queue_capacity: 8, client_retry: false, ..pinned(16) };
+    let service = SolverService::<f32>::start(config);
+    match service.solve_many_rhs(&system.a, &system.b, &system.c, &rhs) {
+        Err(ServiceError::QueueFull { capacity: 8, .. }) => {}
+        other => panic!("expected a full queue, got {other:?}"),
+    }
+    let snap = service.shutdown();
+    assert_eq!((snap.submitted, snap.rejected), (8, 1), "the first piece went in, the rest not");
+    assert_eq!(snap.completed, 8, "what was admitted is still served");
+}
+
+#[test]
+fn a_submit_whose_rhs_does_not_fit_its_matrix_is_rejected() {
+    let (mut system, _) = matrix_and_rhs(6, 64, 0);
+    system.d.truncate(40);
+    let sink = Arc::new(Collect(Mutex::new(Vec::new())));
+    let config = ServiceConfig { trace: TraceHandle::to(sink.clone()), ..pinned(1) };
+    let service = SolverService::<f32>::start(config);
+    match service.submit(system) {
+        Err(ServiceError::InvalidRequest(TridiagError::DimensionMismatch {
+            what: "d",
+            expected: 64,
+            got: 40,
+        })) => {}
+        other => panic!("expected a dimension mismatch, got {other:?}"),
+    }
+    let snap = service.shutdown();
+    assert_eq!((snap.submitted, snap.completed), (0, 0), "nothing was admitted");
+    let events = sink.0.lock().unwrap();
+    assert!(
+        matches!(
+            events.as_slice(),
+            [TraceEvent::Reject { n: 64, reason: RejectReason::Invalid, .. }]
+        ),
+        "one rejection traced: {events:?}"
+    );
 }
 
 struct Collect(Mutex<Vec<TraceEvent>>);
