@@ -17,74 +17,20 @@
 //! cargo run --release -p bench -- certify --quick     # certification gate
 //! ```
 //!
-//! Every gate shares one flag grammar (`--quick`, `--json`, whitelisted
-//! extras) and one exit-code vocabulary — see [`bench::cli`].
+//! Every gate runs on one framework (flags, `BENCH_<gate>.json`,
+//! baseline floors, exit codes) — see [`bench::gate`].
 
+use bench::gate::GATES;
 use bench::{figures, ReproConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
-    // The sanitizer gate is a subcommand, not an experiment: it returns a
-    // non-zero exit code when any solver trips an error-severity diagnostic.
-    if args.first().map(String::as_str) == Some("sanitize") {
-        std::process::exit(bench::sanitize::run(&args[1..]));
-    }
-
-    // The chaos gate drives the solve service on a fault-injected device:
-    // non-zero exit iff any answer escapes verification or availability
-    // drops below 99%.
-    if args.first().map(String::as_str) == Some("chaos") {
-        std::process::exit(bench::chaos::run(&args[1..]));
-    }
-
-    // The pool gate drives the multi-device layer: throughput scaling
-    // across 1..8 simulated devices, a mid-stream device-loss failover
-    // cell, and large-n partitioned solves verified against CPU GEP.
-    if args.first().map(String::as_str) == Some("pool") {
-        std::process::exit(bench::pool::run(&args[1..]));
-    }
-
-    // The replay gate captures a fault-injected chaos run under the
-    // deterministic trace-lab harness and demands a second run (and a
-    // round-trip through the trace file) be bit-identical.
-    if args.first().map(String::as_str) == Some("replay") {
-        std::process::exit(bench::replay::run(&args[1..]));
-    }
-
-    // The load lab drives the open-loop workload matrix on the virtual
-    // clock and gates each cell's SLO against checked-in baselines.
-    if args.first().map(String::as_str) == Some("loadlab") {
-        std::process::exit(bench::loadlab::run(&args[1..]));
-    }
-
-    // The prove gate verifies every production kernel symbolically over
-    // its whole size family: non-zero exit on any Violated verdict, any
-    // undocumented Unproven, or a planted fixture bug the verifier missed.
-    if args.first().map(String::as_str) == Some("prove") {
-        std::process::exit(bench::prove::run(&args[1..]));
-    }
-
-    // The cluster gate drives the multi-node tier: aggregate scaling to
-    // 4 nodes x 8 devices, a sticky node-kill and an asymmetric
-    // partition-heal failover cell, and two-level solves vs CPU GEP.
-    if args.first().map(String::as_str) == Some("cluster") {
-        std::process::exit(bench::cluster::run(&args[1..]));
-    }
-
-    // The factor gate runs the cold-vs-warm factorization-cache sweep:
-    // non-zero exit iff the warm speedup or hit rate drops below the
-    // checked-in floors or any answer escapes verification.
-    if args.first().map(String::as_str) == Some("factor") {
-        std::process::exit(bench::factor::run(&args[1..]));
-    }
-
-    // The certify gate runs the verify-everything vs certified sampled
-    // verification sweep: non-zero exit iff coverage of the dominant pool
-    // or the verify-skip speedup drops below the checked-in floors or any
-    // answer escapes the acceptance bound.
-    if args.first().map(String::as_str) == Some("certify") {
-        std::process::exit(bench::certify::run(&args[1..]));
+    // A gate is a subcommand, not an experiment: it exits non-zero when
+    // any of its clauses breaks.
+    if let Some((_, run)) = args.first().and_then(|arg| GATES.iter().find(|(name, _)| name == arg))
+    {
+        std::process::exit(run(&args[1..]));
     }
 
     let all = figures::all();

@@ -16,20 +16,17 @@
 //! faults may cost latency and degrade flushes to the CPU safety net, but
 //! never correctness.
 
+use crate::gate::{Gate, RESIDUAL_BOUND};
 use crate::report::Table;
 use gpu_sim::{FaultConfig, FaultPlan, FaultStats, Launcher};
 use gpu_solvers::GpuAlgorithm;
 use solver_service::{Engine, ServiceConfig, ServiceError, SolverService, Ticket};
 use std::sync::Arc;
 use std::time::Duration;
-use tridiag_core::{Generator, Workload};
+use tridiag_core::{Generator, TridiagonalSystem, Workload};
 
 /// System sizes the stream mixes — same range as the serving experiment.
 const SIZES: [usize; 3] = [64, 128, 256];
-
-/// A response is "wrong" when its residual escapes this bound (the same
-/// bound the service property tests hold the pipeline to for f32).
-const RESIDUAL_BOUND: f64 = 1e-2;
 
 /// Submit attempts per request before declaring it shed (unavailable).
 const MAX_SUBMIT_ATTEMPTS: usize = 200;
@@ -111,6 +108,29 @@ fn cells(quick: bool) -> Vec<Cell> {
     cells
 }
 
+/// Open-loop submit with bounded backpressure retries that honor the
+/// service's drain-rate hint; `None` when the request is shed for good.
+pub(crate) fn submit_retrying(
+    service: &SolverService<f32>,
+    system: &TridiagonalSystem<f32>,
+) -> Option<Ticket<f32>> {
+    let mut attempts = 0usize;
+    loop {
+        match service.submit(system.clone()) {
+            Ok(ticket) => return Some(ticket),
+            Err(ServiceError::QueueFull { retry_after, .. }) if attempts < MAX_SUBMIT_ATTEMPTS => {
+                attempts += 1;
+                match retry_after {
+                    Some(hint) => std::thread::sleep(hint),
+                    None => std::thread::yield_now(),
+                }
+            }
+            Err(ServiceError::QueueFull { .. }) => return None,
+            Err(e) => panic!("service refused a valid request: {e}"),
+        }
+    }
+}
+
 /// Drives one cell: `total` mixed-size requests, open loop, bounded
 /// submit retries honoring the service's drain-rate hint.
 fn drive(seed: u64, cell: &Cell, total: usize) -> CellOutcome {
@@ -137,29 +157,9 @@ fn drive(seed: u64, cell: &Cell, total: usize) -> CellOutcome {
     for i in 0..total {
         let n = SIZES[i % SIZES.len()];
         let system = generator.system(Workload::DiagonallyDominant, n);
-        let mut attempts = 0usize;
-        loop {
-            match service.submit(system.clone()) {
-                Ok(ticket) => {
-                    tickets.push(ticket);
-                    break;
-                }
-                Err(ServiceError::QueueFull { retry_after, .. })
-                    if attempts < MAX_SUBMIT_ATTEMPTS =>
-                {
-                    attempts += 1;
-                    match retry_after {
-                        Some(hint) => std::thread::sleep(hint),
-                        None => std::thread::yield_now(),
-                    }
-                }
-                Err(ServiceError::QueueFull { .. }) => {
-                    // Load shed for good: the request never got in.
-                    shed += 1;
-                    break;
-                }
-                Err(e) => panic!("service refused a valid request: {e}"),
-            }
+        match submit_retrying(&service, &system) {
+            Some(ticket) => tickets.push(ticket),
+            None => shed += 1,
         }
     }
     let mut wrong = 0u64;
@@ -225,41 +225,13 @@ fn json_row(cell: &Cell, out: &CellOutcome) -> String {
     )
 }
 
-/// Checks the sweep's worst cell against `baselines/chaos.json`.
-fn baseline_failures(min_availability: f64, max_wrong: u64) -> Vec<String> {
-    let baselines = match crate::cli::baseline_path("chaos.json").map(std::fs::read_to_string) {
-        Some(Ok(text)) => text,
-        Some(Err(e)) => return vec![format!("baselines/chaos.json unreadable: {e}")],
-        None => return vec!["baselines/chaos.json missing".to_string()],
-    };
-    let mut failures = Vec::new();
-    match crate::cli::json_object_with(&baselines, "name", "chaos-sweep") {
-        Some(row) => {
-            if let Some(min) = crate::cli::json_f64(row, "min_availability") {
-                if min_availability < min {
-                    failures.push(format!(
-                        "chaos: worst-cell availability {min_availability:.4} < baseline {min}"
-                    ));
-                }
-            }
-            if let Some(max) = crate::cli::json_u64(row, "max_wrong") {
-                if max_wrong > max {
-                    failures.push(format!("chaos: worst-cell wrong {max_wrong} > baseline {max}"));
-                }
-            }
-        }
-        None => failures.push("baselines/chaos.json lacks a chaos-sweep row".to_string()),
-    }
-    failures
-}
-
 /// Runs the chaos sweep; returns the process exit code.
 pub fn run(args: &[String]) -> i32 {
-    let parsed = match crate::cli::parse("chaos", args, &[], 0) {
-        Ok(parsed) => parsed,
+    let mut gate = match Gate::start("chaos", args, &[], 0) {
+        Ok(gate) => gate,
         Err(code) => return code,
     };
-    let quick = parsed.quick;
+    let quick = gate.args.quick;
     let total = if quick { 150 } else { 1000 };
     let seed = 20100109;
 
@@ -283,15 +255,19 @@ pub fn run(args: &[String]) -> i32 {
             "gate",
         ],
     );
-    let mut failures = 0usize;
-    let mut json = Vec::new();
     let mut worst_availability = 1.0f64;
     let mut worst_wrong = 0u64;
     for cell in cells(quick) {
         eprintln!("[chaos] {} ...", cell.label);
         let out = drive(seed, &cell, total);
         let ok = out.passes();
-        failures += usize::from(!ok);
+        gate.check(
+            ok,
+            format!(
+                "{}: {} wrong answer(s), availability {:.4}",
+                cell.label, out.wrong, out.availability
+            ),
+        );
         worst_availability = worst_availability.min(out.availability);
         worst_wrong = worst_wrong.max(out.wrong);
         table.row(vec![
@@ -308,7 +284,7 @@ pub fn run(args: &[String]) -> i32 {
             format!("{}/{}", out.breaker_opened, out.breaker_denials),
             if ok { "pass".into() } else { "FAIL".into() },
         ]);
-        json.push(json_row(&cell, &out));
+        gate.row(json_row(&cell, &out));
     }
     table.note(format!(
         "gate: wrong answers = 0 and availability ≥ 99% (residual bound {RESIDUAL_BOUND:.0e})"
@@ -316,34 +292,12 @@ pub fn run(args: &[String]) -> i32 {
     table.note("wrong = responses whose residual escapes the verify bound (must be 0 by design)");
     table.note("degraded = flushes served off-plan (lower-ranked engine or CPU safety net)");
     println!("{table}");
-    if parsed.json {
-        for line in &json {
-            println!("{line}");
-        }
-    }
 
-    let bench =
-        format!("{{\"bench\":\"chaos\",\"quick\":{quick},\"rows\":[{}]}}\n", json.join(","));
-    match crate::cli::write_bench("BENCH_chaos.json", &bench) {
-        Ok(path) => eprintln!("[chaos] wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("[chaos] FAIL: writing BENCH_chaos.json: {e}");
-            failures += 1;
-        }
-    }
-
-    for clause in baseline_failures(worst_availability, worst_wrong) {
-        eprintln!("[chaos] FAIL: {clause}");
-        failures += 1;
-    }
-
-    if failures > 0 {
-        eprintln!("[chaos] FAIL: {failures} cell(s) broke the availability/correctness gate");
-        crate::cli::EXIT_GATE_FAIL
-    } else {
-        println!("[chaos] PASS: every answer verified, availability ≥ 99% in all cells");
-        crate::cli::EXIT_PASS
-    }
+    gate.floors(
+        "chaos-sweep",
+        &[("availability", worst_availability), ("wrong", worst_wrong as f64)],
+    );
+    gate.finish("every answer verified, availability ≥ 99% in all cells")
 }
 
 #[cfg(test)]

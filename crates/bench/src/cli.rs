@@ -1,23 +1,10 @@
-//! Shared CLI conventions for the `repro` gate subcommands.
+//! The `repro` gates' flag grammar and exit codes; the rest of the gate
+//! framework is [`crate::gate`].
 //!
-//! Every gate (`sanitize`, `chaos`, `pool`, `replay`, `loadlab`) parses
-//! its flags through [`parse`] and speaks the same exit-code vocabulary:
-//!
-//! * [`EXIT_PASS`] (0) — every gate clause held;
-//! * [`EXIT_GATE_FAIL`] (1) — the run completed but a gate broke;
-//! * [`EXIT_USAGE`] (2) — the invocation itself was malformed.
-//!
-//! The shared flags are `--quick` (CI-sized workload) and `--json`
-//! (machine-readable rows on stdout alongside the human tables).
-//! Subcommand-specific flags are whitelisted per call site, so a typo is
+//! Every gate parses its flags through [`parse`]: the shared `--quick`
+//! (CI-sized workload) and `--json` (rows on stdout after the tables),
+//! plus subcommand-specific flags whitelisted per call site, so a typo is
 //! always a usage error, never a silently ignored option.
-//!
-//! This module also owns the `BENCH_*.json` plumbing: canonical copies
-//! live under `target/repro/`, and checked-in SLO baselines under
-//! `baselines/` are read back with a purpose-built flat-JSON scanner
-//! (the serde shim has no deserializer — see shims/README.md).
-
-use std::path::{Path, PathBuf};
 
 /// Exit code: every gate clause held.
 pub const EXIT_PASS: i32 = 0;
@@ -90,64 +77,6 @@ fn usage(extra_flags: &[&str]) -> String {
     format!("expected {}", flags.join(" / "))
 }
 
-/// The canonical output directory for gate artifacts:
-/// `$CARGO_TARGET_DIR/repro` (default `target/repro`).
-pub fn repro_dir() -> PathBuf {
-    let target = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string());
-    Path::new(&target).join("repro")
-}
-
-/// Writes a `BENCH_*.json` artifact under [`repro_dir`] and returns its
-/// path.
-pub fn write_bench(file_name: &str, contents: &str) -> std::io::Result<PathBuf> {
-    let dir = repro_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(file_name);
-    std::fs::write(&path, contents)?;
-    Ok(path)
-}
-
-/// Locates a checked-in baseline file: `baselines/<file>` relative to the
-/// working directory (a repo-root `cargo run`), falling back to the
-/// workspace root derived from this crate's manifest (tests run with the
-/// crate directory as cwd).
-pub fn baseline_path(file_name: &str) -> Option<PathBuf> {
-    let cwd_relative = Path::new("baselines").join(file_name);
-    if cwd_relative.exists() {
-        return Some(cwd_relative);
-    }
-    let from_manifest =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines").join(file_name);
-    from_manifest.exists().then_some(from_manifest)
-}
-
-/// Extracts the flat JSON object (no nesting) from `text` that contains
-/// the exact `"key":"value"` pair — how baseline gates find their row.
-pub fn json_object_with<'a>(text: &'a str, key: &str, value: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":\"{value}\"");
-    let at = text.find(&needle)?;
-    let start = text[..at].rfind('{')?;
-    let end = at + text[at..].find('}')?;
-    Some(&text[start..=end])
-}
-
-/// Reads an unsigned integer field from a flat JSON object.
-pub fn json_u64(object: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = object.find(&needle)? + needle.len();
-    let digits: String = object[at..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-/// Reads a (non-scientific) decimal field from a flat JSON object.
-pub fn json_f64(object: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = object.find(&needle)? + needle.len();
-    let number: String =
-        object[at..].chars().take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-').collect();
-    number.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,18 +106,5 @@ mod tests {
         let args = parse("t", &strings(&["a.trace", "--quick"]), &[], 1).unwrap();
         assert_eq!(args.operands, vec!["a.trace"]);
         assert_eq!(parse("t", &strings(&["a", "b"]), &[], 1), Err(EXIT_USAGE));
-    }
-
-    #[test]
-    fn flat_json_scanning_finds_rows_and_fields() {
-        let text = r#"{"bench":"x","rows":[{"name":"steady","p99_ns":1500,"availability_ppm":998000,"ratio":0.25},{"name":"bursty","p99_ns":9}]}"#;
-        let row = json_object_with(text, "name", "steady").unwrap();
-        assert_eq!(json_u64(row, "p99_ns"), Some(1500));
-        assert_eq!(json_u64(row, "availability_ppm"), Some(998_000));
-        assert_eq!(json_f64(row, "ratio"), Some(0.25));
-        let row = json_object_with(text, "name", "bursty").unwrap();
-        assert_eq!(json_u64(row, "p99_ns"), Some(9));
-        assert!(json_object_with(text, "name", "missing").is_none());
-        assert!(json_u64(row, "missing").is_none());
     }
 }

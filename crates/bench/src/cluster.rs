@@ -33,7 +33,8 @@
 //! Everything runs on the virtual clock: every cell is a deterministic
 //! replay of its cluster seed.
 
-use crate::cli::{self, EXIT_GATE_FAIL, EXIT_PASS};
+use crate::gate::Gate;
+use crate::pool::{check_partitioned, PartitionCheck};
 use crate::report::Table;
 use cluster::{
     node_key, run_cluster_service, BlockedWindow, ClusterConfig, ClusterServiceConfig,
@@ -43,7 +44,6 @@ use gpu_sim::FaultConfig;
 use gpu_solvers::{solve_partitioned, GpuAlgorithm};
 use solver_service::{BreakerConfig, BreakerState, Engine};
 use std::time::Duration;
-use tridiag_core::residual::l2_residual;
 use tridiag_core::{Generator, TridiagonalSystem, Workload};
 
 /// Devices per node, fixed across the sweep (the ISSUE's 4×8 target).
@@ -289,9 +289,9 @@ fn drive_heal(requests: usize) -> HealOutcome {
 struct SolveCell {
     nodes: usize,
     n: usize,
-    verified: bool,
-    max_rel_err: f64,
-    residual: f64,
+    /// The shared partitioned-solve check; the retry row also needs its
+    /// fault to have fired.
+    check: PartitionCheck,
     chunks: usize,
     interface_rows: usize,
     local_ms: f64,
@@ -316,23 +316,14 @@ fn drive_solve(nodes: usize, n: usize, elementwise: bool, fault_burst: bool) -> 
     let launch_faults = fault_burst.then(|| {
         cluster.node(1).pool.device(1).fault_stats().map_or(0, |stats| stats.launch_failures)
     });
-    let residual = l2_residual(&sys, &report.x).expect("finite solution");
-    let (max_rel_err, elementwise_ok) = if elementwise {
-        let x_ref = cpu_solvers::gep::solve(&sys).expect("GEP reference");
-        let scale = x_ref.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        let max_rel =
-            report.x.iter().zip(&x_ref).map(|(x, r)| (x - r).abs() / scale).fold(0.0f64, f64::max);
-        (max_rel, max_rel < 1e-9)
-    } else {
-        (f64::NAN, true)
-    };
+    let x_ref = elementwise.then(|| cpu_solvers::gep::solve(&sys).expect("GEP reference"));
+    let mut check = check_partitioned(&sys, &report.x, x_ref.as_deref());
+    // The retry row counts only if its fault actually fired.
+    check.verified &= launch_faults != Some(0);
     SolveCell {
         nodes,
         n,
-        // The retry row counts only if its fault actually fired.
-        verified: elementwise_ok && residual < 1e-6 && launch_faults != Some(0),
-        max_rel_err,
-        residual,
+        check,
         chunks: report.chunks,
         interface_rows: report.interface_rows,
         local_ms: report.timing.local_ms,
@@ -406,13 +397,13 @@ fn json_solve(cell: &SolveCell) -> String {
         ),
         cell.nodes,
         cell.n,
-        cell.verified,
-        if cell.max_rel_err.is_finite() {
-            format!("{:.3e}", cell.max_rel_err)
+        cell.check.verified,
+        if cell.check.max_rel_err.is_finite() {
+            format!("{:.3e}", cell.check.max_rel_err)
         } else {
             "null".to_string()
         },
-        cell.residual,
+        cell.check.residual,
         cell.chunks,
         cell.interface_rows,
         cell.local_ms,
@@ -422,89 +413,16 @@ fn json_solve(cell: &SolveCell) -> String {
     )
 }
 
-/// Checks measured numbers against `baselines/cluster.json`.
-fn baseline_failures(
-    gate_speedup: Option<f64>,
-    gate_throughput: Option<f64>,
-    kill: &KillOutcome,
-    heal: &HealOutcome,
-) -> Vec<String> {
-    let baselines = match cli::baseline_path("cluster.json").map(std::fs::read_to_string) {
-        Some(Ok(text)) => text,
-        Some(Err(e)) => return vec![format!("baselines/cluster.json unreadable: {e}")],
-        None => return vec!["baselines/cluster.json missing".to_string()],
-    };
-    let mut failures = Vec::new();
-    match cli::json_object_with(&baselines, "name", "scaling-4node") {
-        Some(row) => {
-            if let (Some(min), Some(got)) = (cli::json_f64(row, "min_speedup"), gate_speedup) {
-                if got < min {
-                    failures.push(format!("scaling: 4-node speedup {got:.2} < baseline {min}"));
-                }
-            }
-            if let (Some(min), Some(got)) =
-                (cli::json_f64(row, "min_throughput_per_ms"), gate_throughput)
-            {
-                if got < min {
-                    failures.push(format!(
-                        "scaling: 4-node throughput {got:.2}/ms < baseline {min}/ms"
-                    ));
-                }
-            }
-        }
-        None => failures.push("baselines/cluster.json lacks a scaling-4node row".to_string()),
-    }
-    match cli::json_object_with(&baselines, "name", "node-kill") {
-        Some(row) => {
-            if let Some(min) = cli::json_f64(row, "min_availability") {
-                if kill.availability < min {
-                    failures.push(format!(
-                        "node-kill: availability {:.4} < baseline {min}",
-                        kill.availability
-                    ));
-                }
-            }
-            if let Some(max) = cli::json_u64(row, "max_wrong") {
-                if kill.wrong > max {
-                    failures.push(format!("node-kill: wrong {} > baseline {max}", kill.wrong));
-                }
-            }
-        }
-        None => failures.push("baselines/cluster.json lacks a node-kill row".to_string()),
-    }
-    match cli::json_object_with(&baselines, "name", "partition-heal") {
-        Some(row) => {
-            if let Some(min) = cli::json_f64(row, "min_availability") {
-                if heal.availability < min {
-                    failures.push(format!(
-                        "partition-heal: availability {:.4} < baseline {min}",
-                        heal.availability
-                    ));
-                }
-            }
-            if let Some(max) = cli::json_u64(row, "max_wrong") {
-                if heal.wrong > max {
-                    failures.push(format!("partition-heal: wrong {} > baseline {max}", heal.wrong));
-                }
-            }
-        }
-        None => failures.push("baselines/cluster.json lacks a partition-heal row".to_string()),
-    }
-    failures
-}
-
 /// Runs the cluster sweep; returns the process exit code.
 pub fn run(args: &[String]) -> i32 {
-    let parsed = match cli::parse("cluster", args, &[], 0) {
-        Ok(parsed) => parsed,
+    let mut gate = match Gate::start("cluster", args, &[], 0) {
+        Ok(gate) => gate,
         Err(code) => return code,
     };
-    let quick = parsed.quick;
+    let quick = gate.args.quick;
     let requests = if quick { 512 } else { 1024 };
     let cycles = if quick { 8 } else { 16 };
     let node_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4] };
-    let mut failures = 0usize;
-    let mut json = Vec::new();
 
     // 1. Scaling.
     let scaling_requests = cycles * CYCLE_REQUESTS;
@@ -517,8 +435,7 @@ pub fn run(args: &[String]) -> i32 {
         &["nodes", "devices", "completed", "wrong", "makespan ms", "work ms", "req/ms", "speedup"],
     );
     let mut baseline: Option<f64> = None;
-    let mut gate_speedup: Option<f64> = None;
-    let mut gate_throughput: Option<f64> = None;
+    let mut at_gate: Vec<(&str, f64)> = Vec::new();
     for &nodes in node_counts {
         eprintln!("[cluster] scaling @ {nodes} node(s) ...");
         let cell = drive_scaling(nodes, cycles);
@@ -530,12 +447,15 @@ pub fn run(args: &[String]) -> i32 {
             Some(base) => cell.throughput / base,
         };
         if nodes == GATE_NODES {
-            gate_speedup = Some(speedup);
-            gate_throughput = Some(cell.throughput);
+            at_gate = vec![("speedup", speedup), ("throughput_per_ms", cell.throughput)];
         }
-        if cell.wrong > 0 || cell.completed != scaling_requests as u64 {
-            failures += 1;
-        }
+        gate.check(
+            cell.wrong == 0 && cell.completed == scaling_requests as u64,
+            format!(
+                "scaling @ {nodes} node(s): {}/{scaling_requests} completed, {} wrong",
+                cell.completed, cell.wrong
+            ),
+        );
         scaling.row(vec![
             nodes.to_string(),
             (nodes * DEVICES_PER_NODE).to_string(),
@@ -546,20 +466,21 @@ pub fn run(args: &[String]) -> i32 {
             format!("{:.2}", cell.throughput),
             format!("{speedup:.2}x"),
         ]);
-        json.push(json_scaling(&cell, speedup));
+        gate.row(json_scaling(&cell, speedup));
     }
     scaling.note(format!(
         "gate (baseline): {GATE_NODES}-node speedup and throughput vs baselines/cluster.json — \
          measured {}",
-        gate_speedup.map_or("n/a".to_string(), |s| format!("{s:.2}x")),
+        at_gate.first().map_or("n/a".to_string(), |&(_, s)| format!("{s:.2}x")),
     ));
     println!("{scaling}");
+    gate.floors("scaling-4node", &at_gate);
 
     // 2. Node kill.
     eprintln!("[cluster] node kill (node 2 dies sticky at 4 ms) ...");
     let kill = drive_kill(requests);
     let kill_ok = kill.passes();
-    failures += usize::from(!kill_ok);
+    gate.check(kill_ok, "node-kill: a request was lost, wrong or mis-routed (see its row)");
     let mut ktable = Table::new(
         format!(
             "Node-kill failover: {GATE_NODES}x{DEVICES_PER_NODE}, node 2 dies sticky mid-stream"
@@ -581,13 +502,17 @@ pub fn run(args: &[String]) -> i32 {
     ]);
     ktable.note("gate: zero loss, zero wrong, backlog drains to survivors, only node 2 breaks");
     println!("{ktable}");
-    json.push(json_kill(&kill));
+    gate.row(json_kill(&kill));
+    gate.floors("node-kill", &[("availability", kill.availability), ("wrong", kill.wrong as f64)]);
 
     // 3. Partition heal.
     eprintln!("[cluster] partition heal (0->2 blocked 3-9 ms) ...");
     let heal = drive_heal(requests.max(600));
     let heal_ok = heal.passes();
-    failures += usize::from(!heal_ok);
+    gate.check(
+        heal_ok,
+        "partition-heal: a request was lost, wrong or never re-routed (see its row)",
+    );
     let mut htable = Table::new(
         "Partition-heal failover: coordinator loses 0->2 for 6 ms; gossip detects, ring \
          re-routes, heal restores",
@@ -606,7 +531,11 @@ pub fn run(args: &[String]) -> i32 {
     htable
         .note("gate: zero loss, zero wrong, re-route during the window, node 2 serves again after");
     println!("{htable}");
-    json.push(json_heal(&heal));
+    gate.row(json_heal(&heal));
+    gate.floors(
+        "partition-heal",
+        &[("availability", heal.availability), ("wrong", heal.wrong as f64)],
+    );
 
     // 4. Two-level solve verification.
     let mut sizes: Vec<(usize, bool)> = vec![(1 << 18, true)];
@@ -639,7 +568,18 @@ pub fn run(args: &[String]) -> i32 {
     for (nodes, n, elementwise, fault_burst) in cells {
         eprintln!("[cluster] solve n=2^{} @ {nodes} node(s) ...", n.trailing_zeros());
         let cell = drive_solve(nodes, n, elementwise, fault_burst);
-        failures += usize::from(!cell.verified);
+        gate.check(
+            cell.check.verified,
+            format!(
+                "solve n=2^{} @ {nodes} node(s){}: rel err {:.3e}, residual {:.3e}, \
+                 launch faults {:?}",
+                n.trailing_zeros(),
+                if fault_burst { " (retry row)" } else { "" },
+                cell.check.max_rel_err,
+                cell.check.residual,
+                cell.launch_faults
+            ),
+        );
         stable.row(vec![
             if fault_burst { format!("{nodes}*") } else { nodes.to_string() },
             format!("2^{}", n.trailing_zeros()),
@@ -648,10 +588,10 @@ pub fn run(args: &[String]) -> i32 {
             format!("{:.4}", cell.local_ms),
             format!("{:.4}", cell.interface_ms),
             format!("{:.4}", cell.net_ms),
-            format!("{:.2e}", cell.residual),
-            if cell.verified { "pass".into() } else { "FAIL".into() },
+            format!("{:.2e}", cell.check.residual),
+            if cell.check.verified { "pass".into() } else { "FAIL".into() },
         ]);
-        json.push(json_solve(&cell));
+        gate.row(json_solve(&cell));
     }
     stable.note("gate: element-wise rel err < 1e-9 vs GEP (2^18) and l2 residual < 1e-6");
     stable.note(
@@ -659,37 +599,10 @@ pub fn run(args: &[String]) -> i32 {
     );
     println!("{stable}");
 
-    if parsed.json {
-        for line in &json {
-            println!("{line}");
-        }
-    }
-
-    let bench =
-        format!("{{\"bench\":\"cluster\",\"quick\":{quick},\"rows\":[{}]}}\n", json.join(","));
-    match cli::write_bench("BENCH_cluster.json", &bench) {
-        Ok(path) => eprintln!("[cluster] wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("[cluster] FAIL: writing BENCH_cluster.json: {e}");
-            failures += 1;
-        }
-    }
-
-    for clause in baseline_failures(gate_speedup, gate_throughput, &kill, &heal) {
-        eprintln!("[cluster] FAIL: {clause}");
-        failures += 1;
-    }
-
-    if failures > 0 {
-        eprintln!("[cluster] FAIL: {failures} gate(s) broke");
-        EXIT_GATE_FAIL
-    } else {
-        println!(
-            "[cluster] PASS: {GATE_NODES}-node scaling held its floors, node-kill and \
-             partition-heal lossless, all two-level solves verified"
-        );
-        EXIT_PASS
-    }
+    gate.finish(format!(
+        "{GATE_NODES}-node scaling held its floors, node-kill and partition-heal lossless, \
+         all two-level solves verified"
+    ))
 }
 
 #[cfg(test)]
@@ -730,7 +643,12 @@ mod tests {
     #[test]
     fn solve_cell_verifies_at_2_16() {
         let cell = drive_solve(4, 1 << 16, true, false);
-        assert!(cell.verified, "rel err {:.3e} residual {:.3e}", cell.max_rel_err, cell.residual);
+        let check = &cell.check;
+        assert!(
+            check.verified,
+            "rel err {:.3e} residual {:.3e}",
+            check.max_rel_err, check.residual
+        );
         assert_eq!(cell.interface_rows, 2 * cell.chunks);
         assert!(!json_solve(&cell).contains("launch_faults"));
     }
@@ -739,7 +657,12 @@ mod tests {
     fn retry_cell_fires_its_fault_and_verifies() {
         let cell = drive_solve(2, 1 << 16, true, true);
         assert_eq!(cell.launch_faults, Some(1));
-        assert!(cell.verified, "rel err {:.3e} residual {:.3e}", cell.max_rel_err, cell.residual);
+        let check = &cell.check;
+        assert!(
+            check.verified,
+            "rel err {:.3e} residual {:.3e}",
+            check.max_rel_err, check.residual
+        );
         assert!(json_solve(&cell).ends_with(",\"launch_faults\":1}"));
     }
 

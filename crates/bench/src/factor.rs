@@ -16,49 +16,30 @@
 //! iff the warm speedup drops below the checked-in floor, the hit rate
 //! collapses, or any answer in either mode escapes the verify bound.
 
+use crate::gate::{Gate, RESIDUAL_BOUND};
 use crate::report::Table;
 use factor_cache::SharedFactorCache;
 use gpu_sim::{Clock, Launcher};
 use solver_service::{
     make_request_keyed, serve_flush, CircuitBreakers, CpuEngine, DeviceCtx, DispatchConfig, Engine,
-    FlushReason, FlushedBatch, PlanCache, ServiceMetrics, Ticket,
+    FlushReason, FlushedBatch, MetricsSnapshot, PlanCache, ServiceMetrics, Ticket,
 };
 use std::sync::Arc;
 use tridiag_core::{Generator, MatrixKey, TridiagonalSystem, Workload};
 
 /// System sizes the stream mixes — one pooled matrix per size.
-const SIZES: [usize; 3] = [64, 128, 256];
+pub(crate) const SIZES: [usize; 3] = [64, 128, 256];
 
 /// RHS per flush (every flush is one matrix × `BATCH` right-hand sides).
-const BATCH: usize = 8;
+pub(crate) const BATCH: usize = 8;
 
-/// A response is "wrong" when its residual escapes this bound (the same
-/// bound the chaos gate and the service property tests use for f32).
-const RESIDUAL_BOUND: f64 = 1e-2;
-
-/// What one mode (cold or warm) of the sweep produced.
-struct ModeOutcome {
-    completed: u64,
-    wrong: u64,
-    max_residual: f64,
+/// What one pooled-matrix run served.
+pub(crate) struct PooledRun {
+    pub wrong: u64,
+    pub max_residual: f64,
     /// Modeled device time per served system, microseconds.
-    device_us_per_system: f64,
-    factor_hits: u64,
-    factor_misses: u64,
-    factor_evictions: u64,
-    warm_flushes: u64,
-    quiet: bool,
-}
-
-impl ModeOutcome {
-    fn hit_rate(&self) -> f64 {
-        let lookups = self.factor_hits + self.factor_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.factor_hits as f64 / lookups as f64
-        }
-    }
+    pub device_us_per_system: f64,
+    pub snap: MetricsSnapshot,
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -69,41 +50,35 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Drives one mode: `total` requests in `BATCH`-sized same-matrix flushes
-/// cycling over the pooled matrices, on the simulated clock.
-fn drive(seed: u64, total: usize, warm: bool) -> ModeOutcome {
-    let clock = Clock::sim();
+/// The sim-clock pooled-matrix driver the `factor` and `certify` gates
+/// share: `total` requests in `BATCH`-sized same-matrix flushes cycling
+/// over `templates`, each request a fresh right-hand side drawn from
+/// `rhs_seed`. `extra` carries what the caller's mode switches on (the
+/// factor cache or the certified catalog). Every flush is pinned to the
+/// CPU Thomas cost model and kept off the GPU, so device-µs ratios
+/// between modes are the deterministic per-row cost ratios of the sim
+/// model, independent of flush composition.
+pub(crate) fn serve_pooled(
+    extra: DispatchConfig,
+    templates: &[(TridiagonalSystem<f32>, MatrixKey)],
+    total: usize,
+    rhs_seed: u64,
+) -> PooledRun {
     let launcher = Launcher::gtx280();
     let plans = PlanCache::new();
     let breakers = CircuitBreakers::default();
     let metrics = ServiceMetrics::new();
-    let cache = warm.then(|| Arc::new(SharedFactorCache::new(16)));
     let cfg = DispatchConfig {
-        // Pin the cold path to the CPU Thomas cost model and keep warm
-        // flushes on the CPU sweep, so the cold/warm device-µs ratio is
-        // the deterministic flop-count ratio (25 vs 16 ns/row in the sim
-        // model), independent of flush composition.
         pin_engine: Some(Engine::Cpu(CpuEngine::Thomas)),
         min_gpu_batch: usize::MAX,
         sanitize_first_flush: false,
-        clock: clock.clone(),
-        factor_cache: cache,
-        ..DispatchConfig::default()
+        clock: Clock::sim(),
+        ..extra
     };
-
-    let mut generator = Generator::new(seed);
-    let templates: Vec<(TridiagonalSystem<f32>, MatrixKey)> = SIZES
-        .iter()
-        .map(|&n| {
-            let system = generator.system(Workload::DiagonallyDominant, n);
-            let key = MatrixKey::of_system(&system);
-            (system, key)
-        })
-        .collect();
 
     let flushes = (total / BATCH).max(1);
     let mut tickets: Vec<Ticket<f32>> = Vec::with_capacity(flushes * BATCH);
-    let mut rhs_rng = seed ^ 0xFAC7_0001;
+    let mut rhs_rng = rhs_seed;
     let mut id = 0u64;
     for f in 0..flushes {
         let (template, key) = &templates[f % templates.len()];
@@ -141,20 +116,45 @@ fn drive(seed: u64, total: usize, warm: bool) -> ModeOutcome {
 
     let snap = metrics.snapshot(0, plans.tunes(), plans.hits());
     let total_engine_ms: f64 = snap.engine_ms.values().sum();
-    ModeOutcome {
-        completed: snap.completed,
+    PooledRun {
         wrong,
         max_residual,
         device_us_per_system: total_engine_ms * 1e3 / snap.completed.max(1) as f64,
-        factor_hits: snap.factor_hits,
-        factor_misses: snap.factor_misses,
-        factor_evictions: snap.factor_evictions,
-        warm_flushes: snap.warm_flushes,
-        quiet: snap.degradation.is_quiet(),
+        snap,
     }
 }
 
-fn json_row(mode: &str, out: &ModeOutcome) -> String {
+fn hit_rate(run: &PooledRun) -> f64 {
+    let lookups = run.snap.factor_hits + run.snap.factor_misses;
+    if lookups == 0 {
+        0.0
+    } else {
+        run.snap.factor_hits as f64 / lookups as f64
+    }
+}
+
+/// Drives one mode over one pooled matrix per size, with the factor
+/// cache on (`warm`) or off.
+fn drive(seed: u64, total: usize, warm: bool) -> PooledRun {
+    let mut generator = Generator::new(seed);
+    let templates: Vec<(TridiagonalSystem<f32>, MatrixKey)> = SIZES
+        .iter()
+        .map(|&n| {
+            let system = generator.system(Workload::DiagonallyDominant, n);
+            let key = MatrixKey::of_system(&system);
+            (system, key)
+        })
+        .collect();
+    let factor_cache = warm.then(|| Arc::new(SharedFactorCache::new(16)));
+    serve_pooled(
+        DispatchConfig { factor_cache, ..DispatchConfig::default() },
+        &templates,
+        total,
+        seed ^ 0xFAC7_0001,
+    )
+}
+
+fn json_row(mode: &str, out: &PooledRun) -> String {
     format!(
         concat!(
             "{{\"experiment\":\"factor\",\"mode\":\"{}\",",
@@ -164,57 +164,25 @@ fn json_row(mode: &str, out: &ModeOutcome) -> String {
             "\"warm_flushes\":{},\"hit_rate\":{:.4}}}"
         ),
         mode,
-        out.completed,
+        out.snap.completed,
         out.wrong,
         out.max_residual,
         out.device_us_per_system,
-        out.factor_hits,
-        out.factor_misses,
-        out.factor_evictions,
-        out.warm_flushes,
-        out.hit_rate(),
+        out.snap.factor_hits,
+        out.snap.factor_misses,
+        out.snap.factor_evictions,
+        out.snap.warm_flushes,
+        hit_rate(out),
     )
-}
-
-/// Checks the sweep against `baselines/factor.json`.
-fn baseline_failures(speedup: f64, hit_rate: f64, wrong: u64) -> Vec<String> {
-    let baselines = match crate::cli::baseline_path("factor.json").map(std::fs::read_to_string) {
-        Some(Ok(text)) => text,
-        Some(Err(e)) => return vec![format!("baselines/factor.json unreadable: {e}")],
-        None => return vec!["baselines/factor.json missing".to_string()],
-    };
-    let mut failures = Vec::new();
-    match crate::cli::json_object_with(&baselines, "name", "factor-sweep") {
-        Some(row) => {
-            if let Some(min) = crate::cli::json_f64(row, "min_speedup") {
-                if speedup < min {
-                    failures.push(format!("factor: warm speedup {speedup:.4} < baseline {min}"));
-                }
-            }
-            if let Some(min) = crate::cli::json_f64(row, "min_hit_rate") {
-                if hit_rate < min {
-                    failures.push(format!("factor: hit rate {hit_rate:.4} < baseline {min}"));
-                }
-            }
-            if let Some(max) = crate::cli::json_u64(row, "max_wrong") {
-                if wrong > max {
-                    failures.push(format!("factor: wrong answers {wrong} > baseline {max}"));
-                }
-            }
-        }
-        None => failures.push("baselines/factor.json lacks a factor-sweep row".to_string()),
-    }
-    failures
 }
 
 /// Runs the cold-vs-warm factor sweep; returns the process exit code.
 pub fn run(args: &[String]) -> i32 {
-    let parsed = match crate::cli::parse("factor", args, &[], 0) {
-        Ok(parsed) => parsed,
+    let mut gate = match Gate::start("factor", args, &[], 0) {
+        Ok(gate) => gate,
         Err(code) => return code,
     };
-    let quick = parsed.quick;
-    let total = if quick { 240 } else { 1200 };
+    let total = if gate.args.quick { 240 } else { 1200 };
     let seed = 20100109;
 
     eprintln!("[factor] cold sweep ({total} requests, cache off) ...");
@@ -245,82 +213,56 @@ pub fn run(args: &[String]) -> i32 {
     for (mode, out) in [("cold", &cold), ("warm", &warm)] {
         table.row(vec![
             mode.to_string(),
-            out.completed.to_string(),
+            out.snap.completed.to_string(),
             out.wrong.to_string(),
             format!("{:.2e}", out.max_residual),
             format!("{:.3}", out.device_us_per_system),
-            out.factor_hits.to_string(),
-            out.factor_misses.to_string(),
-            out.factor_evictions.to_string(),
-            out.warm_flushes.to_string(),
+            out.snap.factor_hits.to_string(),
+            out.snap.factor_misses.to_string(),
+            out.snap.factor_evictions.to_string(),
+            out.snap.warm_flushes.to_string(),
         ]);
+        gate.row(json_row(mode, out));
     }
     table.note(format!(
         "warm speedup {speedup:.3}x device-µs/system, hit rate {:.1}%",
-        warm.hit_rate() * 100.0
+        hit_rate(&warm) * 100.0
     ));
     table.note(format!(
         "gate: speedup/hit-rate floors from baselines/factor.json, wrong answers = 0 \
          (residual bound {RESIDUAL_BOUND:.0e})"
     ));
     println!("{table}");
-
-    let json = vec![json_row("cold", &cold), json_row("warm", &warm)];
-    if parsed.json {
-        for line in &json {
-            println!("{line}");
-        }
-    }
-
-    let mut failures = 0usize;
-    let bench = format!(
-        "{{\"bench\":\"factor\",\"quick\":{quick},\"speedup\":{speedup:.4},\"rows\":[{}]}}\n",
-        json.join(",")
-    );
-    match crate::cli::write_bench("BENCH_factor.json", &bench) {
-        Ok(path) => eprintln!("[factor] wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("[factor] FAIL: writing BENCH_factor.json: {e}");
-            failures += 1;
-        }
-    }
+    gate.summary("speedup", format!("{speedup:.4}"));
 
     // Structural sanity independent of the baseline floors: the cold mode
     // must never consult the cache, the warm mode must miss exactly once
     // per pooled matrix, and warm traffic must not register as
     // degradation.
-    if cold.factor_hits + cold.factor_misses + cold.warm_flushes != 0 {
-        eprintln!("[factor] FAIL: cold mode touched the factor cache");
-        failures += 1;
-    }
-    if warm.factor_misses != SIZES.len() as u64 {
-        eprintln!(
-            "[factor] FAIL: warm mode missed {} times for {} pooled matrices",
-            warm.factor_misses,
+    gate.check(
+        cold.snap.factor_hits + cold.snap.factor_misses + cold.snap.warm_flushes == 0,
+        "cold mode touched the factor cache",
+    );
+    gate.check(
+        warm.snap.factor_misses == SIZES.len() as u64,
+        format!(
+            "warm mode missed {} times for {} pooled matrices",
+            warm.snap.factor_misses,
             SIZES.len()
-        );
-        failures += 1;
-    }
-    if !warm.quiet || !cold.quiet {
-        eprintln!("[factor] FAIL: a fault-free sweep left degradation counters non-quiet");
-        failures += 1;
-    }
-
-    for clause in baseline_failures(speedup, warm.hit_rate(), wrong) {
-        eprintln!("[factor] FAIL: {clause}");
-        failures += 1;
-    }
-
-    if failures > 0 {
-        eprintln!("[factor] FAIL: {failures} clause(s) broke the factor gate");
-        crate::cli::EXIT_GATE_FAIL
-    } else {
-        println!(
-            "[factor] PASS: warm speedup {speedup:.3}x, hit rate {:.1}%, every answer verified",
-            warm.hit_rate() * 100.0
-        );
-        crate::cli::EXIT_PASS
-    }
+        ),
+    );
+    gate.check(
+        warm.snap.degradation.is_quiet() && cold.snap.degradation.is_quiet(),
+        "a fault-free sweep left degradation counters non-quiet",
+    );
+    gate.floors(
+        "factor-sweep",
+        &[("speedup", speedup), ("hit_rate", hit_rate(&warm)), ("wrong", wrong as f64)],
+    );
+    gate.finish(format!(
+        "warm speedup {speedup:.3}x, hit rate {:.1}%, every answer verified",
+        hit_rate(&warm) * 100.0
+    ))
 }
 
 #[cfg(test)]
@@ -330,21 +272,21 @@ mod tests {
     #[test]
     fn cold_mode_never_touches_the_cache_and_verifies_everything() {
         let out = drive(7, 48, false);
-        assert_eq!(out.completed, 48);
+        assert_eq!(out.snap.completed, 48);
         assert_eq!(out.wrong, 0);
-        assert_eq!(out.factor_hits + out.factor_misses + out.warm_flushes, 0);
-        assert!(out.quiet);
+        assert_eq!(out.snap.factor_hits + out.snap.factor_misses + out.snap.warm_flushes, 0);
+        assert!(out.snap.degradation.is_quiet());
     }
 
     #[test]
     fn warm_mode_misses_once_per_matrix_then_hits() {
         let out = drive(7, 96, true);
-        assert_eq!(out.completed, 96);
+        assert_eq!(out.snap.completed, 96);
         assert_eq!(out.wrong, 0);
-        assert_eq!(out.factor_misses, SIZES.len() as u64);
-        assert!(out.factor_hits > out.factor_misses);
-        assert_eq!(out.factor_evictions, 0);
-        assert!(out.quiet, "warm traffic is not degradation");
+        assert_eq!(out.snap.factor_misses, SIZES.len() as u64);
+        assert!(out.snap.factor_hits > out.snap.factor_misses);
+        assert_eq!(out.snap.factor_evictions, 0);
+        assert!(out.snap.degradation.is_quiet(), "warm traffic is not degradation");
     }
 
     #[test]

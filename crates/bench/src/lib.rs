@@ -16,6 +16,7 @@ pub mod cli;
 pub mod cluster;
 pub mod factor;
 pub mod figures;
+pub mod gate;
 pub mod loadlab;
 pub mod pool;
 pub mod prove;

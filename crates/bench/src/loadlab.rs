@@ -18,7 +18,7 @@
 //!    deterministic, so a baseline miss is a real behaviour change, not
 //!    noise.
 
-use crate::cli::{self, EXIT_GATE_FAIL, EXIT_PASS};
+use crate::gate::{json_u64, Gate};
 use crate::report::Table;
 use trace_lab::loadlab::{run_cell, standard_cells};
 use trace_lab::LabOutcome;
@@ -54,13 +54,11 @@ fn json_row(out: &LabOutcome) -> String {
     )
 }
 
-/// Compares one cell against its baseline row; returns failure clauses.
-fn baseline_failures(out: &LabOutcome, baselines: &str) -> Vec<String> {
-    let Some(row) = cli::json_object_with(baselines, "name", &out.name) else {
-        return vec![format!("{}: no baseline row", out.name)];
-    };
+/// Compares one cell against its recorded baseline row (a flat JSON
+/// object); returns failure clauses.
+fn baseline_failures(out: &LabOutcome, row: &str) -> Vec<String> {
     let mut failures = Vec::new();
-    match cli::json_u64(row, "availability_ppm") {
+    match json_u64(row, "availability_ppm") {
         Some(base) => {
             let floor = base.saturating_sub(AVAILABILITY_SLACK_PPM);
             if out.availability_ppm < floor {
@@ -72,7 +70,7 @@ fn baseline_failures(out: &LabOutcome, baselines: &str) -> Vec<String> {
         }
         None => failures.push(format!("{}: baseline row lacks availability_ppm", out.name)),
     }
-    match cli::json_u64(row, "p99_ns") {
+    match json_u64(row, "p99_ns") {
         Some(base) => {
             let ceiling = base.saturating_mul(P99_GROWTH_NUM) / P99_GROWTH_DEN;
             if out.p99_ns > ceiling {
@@ -89,11 +87,11 @@ fn baseline_failures(out: &LabOutcome, baselines: &str) -> Vec<String> {
 
 /// Runs the load lab; returns the process exit code.
 pub fn run(args: &[String]) -> i32 {
-    let parsed = match cli::parse("loadlab", args, &[], 0) {
-        Ok(parsed) => parsed,
+    let mut gate = match Gate::start("loadlab", args, &[], 0) {
+        Ok(gate) => gate,
         Err(code) => return code,
     };
-    let cells = standard_cells(parsed.quick);
+    let cells = standard_cells(gate.args.quick);
     let requests = cells[0].scenario.requests;
 
     let mut table = Table::new(
@@ -106,13 +104,13 @@ pub fn run(args: &[String]) -> i32 {
             "wrong", "gate",
         ],
     );
-    let mut json = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
     let mut outcomes = Vec::new();
     for cell in &cells {
         eprintln!("[loadlab] {} ...", cell.scenario.name);
         let out = run_cell(cell);
-        failures.extend(out.failures.iter().map(|f| format!("{}: {f}", out.name)));
+        for failure in &out.failures {
+            gate.fail(format!("{}: {failure}", out.name));
+        }
         table.row(vec![
             out.name.clone(),
             out.offered.to_string(),
@@ -126,62 +124,33 @@ pub fn run(args: &[String]) -> i32 {
             out.wrong.to_string(),
             if out.pass() { "pass".into() } else { "FAIL".into() },
         ]);
-        json.push(json_row(&out));
+        gate.row(json_row(&out));
         outcomes.push(out);
     }
     table.note("gate: per-cell SLO (availability floor, p99 ceiling, zero wrong answers)");
     table.note("adversarial-small-n is expected to shed: its SLO asserts graceful rejection");
     println!("{table}");
-    if parsed.json {
-        for line in &json {
-            println!("{line}");
-        }
-    }
-
-    let bench = format!(
-        "{{\"bench\":\"loadlab\",\"quick\":{},\"rows\":[{}]}}\n",
-        parsed.quick,
-        json.join(",")
-    );
-    match cli::write_bench("BENCH_loadlab.json", &bench) {
-        Ok(path) => eprintln!("[loadlab] wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("[loadlab] FAIL: writing BENCH_loadlab.json: {e}");
-            return EXIT_GATE_FAIL;
-        }
-    }
 
     // Baseline regression gate — the baseline records the --quick shape CI
     // runs; full-size runs are gated by SLO only.
-    if parsed.quick {
-        match cli::baseline_path("loadlab.json").map(std::fs::read_to_string) {
-            Some(Ok(baselines)) => {
-                for out in &outcomes {
-                    failures.extend(baseline_failures(out, &baselines));
-                }
+    if gate.args.quick {
+        for out in &outcomes {
+            match gate.baseline_row(&out.name) {
+                Ok(row) => baseline_failures(out, &row).into_iter().for_each(|f| gate.fail(f)),
+                Err(why) => gate.fail(why),
             }
-            Some(Err(e)) => failures.push(format!("baselines/loadlab.json unreadable: {e}")),
-            None => failures.push("baselines/loadlab.json missing".to_string()),
         }
     } else {
         eprintln!("[loadlab] baseline compare skipped (baselines record the --quick shape)");
     }
 
-    if failures.is_empty() {
-        println!("[loadlab] PASS: {} cell(s) cleared SLO and baseline", outcomes.len());
-        EXIT_PASS
-    } else {
-        for f in &failures {
-            eprintln!("[loadlab] FAIL: {f}");
-        }
-        EXIT_GATE_FAIL
-    }
+    gate.finish(format!("{} cell(s) cleared SLO and baseline", outcomes.len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trace_lab::loadlab::standard_cells;
+    use crate::cli::{self, EXIT_PASS};
 
     #[test]
     fn quick_lab_passes_slo_and_baseline() {
@@ -191,11 +160,11 @@ mod tests {
     #[test]
     fn baseline_comparison_flags_regressions() {
         let out = run_cell(&standard_cells(true)[0]);
-        let baselines = format!(
-            "{{\"rows\":[{{\"name\":\"steady\",\"availability_ppm\":1000000,\"p99_ns\":{}}}]}}",
+        let row = format!(
+            "{{\"name\":\"steady\",\"availability_ppm\":1000000,\"p99_ns\":{}}}",
             out.p99_ns / 10
         );
-        let failures = baseline_failures(&out, &baselines);
+        let failures = baseline_failures(&out, &row);
         assert!(
             failures.iter().any(|f| f.contains("p99")),
             "a 10x p99 regression went unflagged: {failures:?}"
@@ -204,8 +173,8 @@ mod tests {
 
     #[test]
     fn missing_baseline_row_is_a_failure() {
-        let out = run_cell(&standard_cells(true)[0]);
-        assert!(!baseline_failures(&out, "{\"rows\":[]}").is_empty());
+        let gate = Gate::start("loadlab", &[], &[], 0).expect("no flags");
+        assert!(gate.baseline_row("no-such-cell").is_err());
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! `target/repro/BENCH_prove.json` and are gated against the floors in
 //! `baselines/prove.json`.
 
+use crate::gate::Gate;
 use crate::report::Table;
 use gpu_sim::DeviceConfig;
 use gpu_solvers::{verify_family, GpuAlgorithm, RdMode, FIXTURE_NAMES};
@@ -206,15 +207,15 @@ fn sweep_fixtures(sizes: &[usize], table: &mut Table) -> (usize, usize) {
 
 /// Runs the proof gate; returns the process exit code.
 pub fn run(args: &[String]) -> i32 {
-    let parsed = match crate::cli::parse("prove", args, &["overhead"], 0) {
-        Ok(parsed) => parsed,
+    let mut gate = match Gate::start("prove", args, &["overhead"], 0) {
+        Ok(gate) => gate,
         Err(code) => return code,
     };
-    let quick = parsed.quick;
-    if parsed.has("overhead") {
+    let quick = gate.args.quick;
+    if gate.args.has("overhead") {
         println!("{}", overhead_table());
         if !quick {
-            return crate::cli::EXIT_PASS;
+            return gate.ungated();
         }
     }
 
@@ -244,83 +245,32 @@ pub fn run(args: &[String]) -> i32 {
     table.note("fixtures are the deliberately-buggy kernels: all must come back VIOLATED");
     println!("{table}");
 
-    // Gate clauses, hard ones first.
-    let mut failures: Vec<String> = Vec::new();
+    // Hard clauses, then the floors that guard against the families
+    // silently shrinking.
     let violated = f32_totals.violated + f64_totals.violated;
-    if violated > 0 {
-        failures.push(format!("{violated} production family member(s) VIOLATED"));
-    }
+    gate.check(violated == 0, format!("{violated} production family member(s) VIOLATED"));
     let unexpected = f32_totals.unexpected_unproven + f64_totals.unexpected_unproven;
-    if unexpected > 0 {
-        failures.push(format!("{unexpected} undocumented Unproven member(s)"));
-    }
-    if block_proven != block_total {
-        failures.push(format!("block-cr: {block_proven}/{block_total} proven"));
-    }
-    if caught != expected {
-        failures.push(format!("fixtures: only {caught}/{expected} caught"));
-    }
-
-    // Baseline floors (guard against the family silently shrinking).
-    match crate::cli::baseline_path("prove.json") {
-        Some(path) => {
-            let text = std::fs::read_to_string(&path).unwrap_or_default();
-            let floor_key = if quick { "min_proven_quick" } else { "min_proven_full" };
-            if let Some(row) = crate::cli::json_object_with(&text, "name", "solvers") {
-                if let Some(floor) = crate::cli::json_u64(row, floor_key) {
-                    let proven = (f32_totals.proven + f64_totals.proven) as u64;
-                    if proven < floor {
-                        failures.push(format!("proven members {proven} < baseline floor {floor}"));
-                    }
-                }
-            }
-            if let Some(row) = crate::cli::json_object_with(&text, "name", "fixtures") {
-                if let Some(floor) = crate::cli::json_u64(row, "min_caught") {
-                    if (caught as u64) < floor {
-                        failures.push(format!("fixtures caught {caught} < floor {floor}"));
-                    }
-                }
-            }
-        }
-        None => println!("[prove] note: baselines/prove.json not found; floors skipped"),
-    }
-
-    let pass = failures.is_empty();
-    json_rows.insert(
-        0,
-        format!(
-            "{{\"name\":\"solvers\",\"proven\":{},\"documented_unproven\":{},\
-             \"violated\":{violated},\"unexpected_unproven\":{unexpected}}}",
-            f32_totals.proven + f64_totals.proven,
-            f32_totals.documented_unproven + f64_totals.documented_unproven,
-        ),
+    gate.check(unexpected == 0, format!("{unexpected} undocumented Unproven member(s)"));
+    gate.check(
+        block_proven == block_total,
+        format!("block-cr: {block_proven}/{block_total} proven"),
     );
-    json_rows.push(format!(
+    gate.check(caught == expected, format!("fixtures: only {caught}/{expected} caught"));
+    let proven = f32_totals.proven + f64_totals.proven;
+    gate.floors(if quick { "solvers-quick" } else { "solvers-full" }, &[("proven", proven as f64)]);
+    gate.floors("fixtures", &[("caught", caught as f64)]);
+
+    gate.row(format!(
+        "{{\"name\":\"solvers\",\"proven\":{proven},\"documented_unproven\":{},\
+         \"violated\":{violated},\"unexpected_unproven\":{unexpected}}}",
+        f32_totals.documented_unproven + f64_totals.documented_unproven,
+    ));
+    json_rows.into_iter().for_each(|row| gate.row(row));
+    gate.row(format!(
         "{{\"name\":\"block-cr\",\"proven\":{block_proven},\"total\":{block_total}}}"
     ));
-    json_rows
-        .push(format!("{{\"name\":\"fixtures\",\"caught\":{caught},\"expected\":{expected}}}"));
-    let json = format!(
-        "{{\"bench\":\"prove\",\"quick\":{quick},\"rows\":[{}],\"pass\":{pass}}}",
-        json_rows.join(",")
-    );
-    match crate::cli::write_bench("BENCH_prove.json", &json) {
-        Ok(path) => println!("[prove] wrote {}", path.display()),
-        Err(e) => eprintln!("[prove] could not write BENCH_prove.json: {e}"),
-    }
-    if parsed.json {
-        println!("{json}");
-    }
-
-    if pass {
-        println!("[prove] PASS: every family member proven (or documented unproven)");
-        crate::cli::EXIT_PASS
-    } else {
-        for f in &failures {
-            eprintln!("[prove] FAIL: {f}");
-        }
-        crate::cli::EXIT_GATE_FAIL
-    }
+    gate.row(format!("{{\"name\":\"fixtures\",\"caught\":{caught},\"expected\":{expected}}}"));
+    gate.finish("every family member proven (or documented unproven)")
 }
 
 /// Times the first GPU flush of a fresh size class three ways — dynamic

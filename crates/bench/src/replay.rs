@@ -15,7 +15,7 @@
 //! file's embedded scenario and verifies against the recorded stream —
 //! exit 1 on the first divergence.
 
-use crate::cli::{self, EXIT_GATE_FAIL, EXIT_PASS};
+use crate::gate::{repro_dir, Gate};
 use crate::report::Table;
 use solver_service::TraceEvent;
 use trace_lab::{replay, RunStats, Scenario, TraceFile};
@@ -82,107 +82,77 @@ fn exercises_recovery(trace: &TraceFile) -> Result<(), String> {
     Ok(())
 }
 
-/// The no-operand acceptance loop. Returns the exit code.
-fn self_gate(json: bool) -> i32 {
+/// The no-operand acceptance loop: the PASS line's detail, or the
+/// failure clause.
+fn self_gate(gate: &mut Gate) -> Result<String, String> {
     let scenario = Scenario::chaos(1000);
     eprintln!("[replay] capturing '{}' x2 ({} requests) ...", scenario.name, scenario.requests);
     let (trace_a, stats_a) = replay::capture(&scenario);
     let (trace_b, _) = replay::capture(&scenario);
 
-    let bytes_a = trace_a.to_bytes();
-    if bytes_a != trace_b.to_bytes() {
-        eprintln!("[replay] FAIL: two captures of the same scenario serialized differently");
-        return EXIT_GATE_FAIL;
+    if trace_a.to_bytes() != trace_b.to_bytes() {
+        return Err("two captures of the same scenario serialized differently".to_string());
     }
-    if let Err(why) = exercises_recovery(&trace_a) {
-        eprintln!("[replay] FAIL: {why}");
-        return EXIT_GATE_FAIL;
-    }
+    exercises_recovery(&trace_a)?;
 
-    let path = cli::repro_dir().join("chaos.trace");
-    if let Err(e) = trace_a.write(&path) {
-        eprintln!("[replay] FAIL: writing {}: {e}", path.display());
-        return EXIT_GATE_FAIL;
-    }
-    let loaded = match TraceFile::read(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("[replay] FAIL: reading back {}: {e}", path.display());
-            return EXIT_GATE_FAIL;
-        }
-    };
+    let path = repro_dir().join("chaos.trace");
+    trace_a.write(&path).map_err(|e| format!("writing {}: {e}", path.display()))?;
+    let loaded =
+        TraceFile::read(&path).map_err(|e| format!("reading back {}: {e}", path.display()))?;
 
     eprintln!("[replay] verifying the round-tripped trace ...");
-    match replay::verify(&loaded) {
-        Ok(replay_stats) if replay_stats == stats_a => {
-            println!("{}", summary_table(&loaded, &stats_a, "bit-identical"));
-            if json {
-                println!("{}", json_row(&loaded, &stats_a, true));
-            }
-            println!(
-                "[replay] PASS: {} events bit-identical across two runs (trace: {})",
-                loaded.events.len(),
-                path.display()
-            );
-            EXIT_PASS
-        }
-        Ok(_) => {
-            eprintln!("[replay] FAIL: events matched but run stats diverged");
-            EXIT_GATE_FAIL
-        }
-        Err(divergence) => {
-            eprintln!("[replay] FAIL: {divergence}");
-            EXIT_GATE_FAIL
-        }
+    let replay_stats = replay::verify(&loaded).map_err(|divergence| divergence.to_string())?;
+    if replay_stats != stats_a {
+        return Err("events matched but run stats diverged".to_string());
     }
+    println!("{}", summary_table(&loaded, &stats_a, "bit-identical"));
+    gate.row(json_row(&loaded, &stats_a, true));
+    Ok(format!(
+        "{} events bit-identical across two runs (trace: {})",
+        loaded.events.len(),
+        path.display()
+    ))
 }
 
-/// Verifies an existing trace file. Returns the exit code.
-fn verify_file(path: &str, json: bool) -> i32 {
-    let trace = match TraceFile::read(std::path::Path::new(path)) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("[replay] FAIL: {path}: {e}");
-            return EXIT_GATE_FAIL;
-        }
-    };
+/// Verifies an existing trace file: the PASS line's detail, or the
+/// failure clause.
+fn verify_file(path: &str, gate: &mut Gate) -> Result<String, String> {
+    let trace = TraceFile::read(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
     eprintln!(
         "[replay] replaying '{}' ({} events, captured @ {}) ...",
         trace.scenario.name,
         trace.events.len(),
         trace.git_rev
     );
-    match replay::verify(&trace) {
-        Ok(stats) => {
-            println!("{}", summary_table(&trace, &stats, "bit-identical"));
-            if json {
-                println!("{}", json_row(&trace, &stats, true));
-            }
-            println!("[replay] PASS: replay matched {} recorded events", trace.events.len());
-            EXIT_PASS
-        }
-        Err(divergence) => {
-            eprintln!("[replay] FAIL: {divergence}");
-            EXIT_GATE_FAIL
-        }
-    }
+    let stats = replay::verify(&trace).map_err(|divergence| divergence.to_string())?;
+    println!("{}", summary_table(&trace, &stats, "bit-identical"));
+    gate.row(json_row(&trace, &stats, true));
+    Ok(format!("replay matched {} recorded events", trace.events.len()))
 }
 
 /// Runs the replay gate; returns the process exit code.
 pub fn run(args: &[String]) -> i32 {
-    let parsed = match cli::parse("replay", args, &[], 1) {
-        Ok(parsed) => parsed,
+    let mut gate = match Gate::start("replay", args, &[], 1) {
+        Ok(gate) => gate,
         Err(code) => return code,
     };
-    match parsed.operands.first() {
-        Some(path) => verify_file(path, parsed.json),
-        None => self_gate(parsed.json),
+    let verdict = match gate.args.operands.first().cloned() {
+        Some(path) => verify_file(&path, &mut gate),
+        None => self_gate(&mut gate),
+    };
+    match verdict {
+        Ok(pass) => gate.finish(pass),
+        Err(clause) => {
+            gate.fail(clause);
+            gate.finish("")
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::{self, EXIT_GATE_FAIL, EXIT_PASS};
 
     #[test]
     fn the_quick_self_gate_passes() {

@@ -13,6 +13,7 @@
 //! is found — warnings (bank conflicts, RD's non-finite overflow) are
 //! expected for some algorithms and are reported but do not fail the gate.
 
+use crate::gate::Gate;
 use crate::report::Table;
 use gpu_sim::{Diagnostic, Launcher, SanitizeOptions};
 use gpu_solvers::{solve_batch, GpuAlgorithm, RdMode};
@@ -131,17 +132,15 @@ fn sweep_type<T: Real>(
 
 /// Runs the sanitizer sweep; returns the process exit code.
 pub fn run(args: &[String]) -> i32 {
-    let parsed = match crate::cli::parse("sanitize", args, &["overhead"], 0) {
-        Ok(parsed) => parsed,
+    let mut gate = match Gate::start("sanitize", args, &["overhead"], 0) {
+        Ok(gate) => gate,
         Err(code) => return code,
     };
-    let quick = parsed.quick;
-    if parsed.has("overhead") {
+    let quick = gate.args.quick;
+    if gate.args.has("overhead") {
         println!("{}", overhead_table());
-        if quick {
-            // fall through to the sweep too
-        } else {
-            return crate::cli::EXIT_PASS;
+        if !quick {
+            return gate.ungated();
         }
     }
 
@@ -170,21 +169,12 @@ pub fn run(args: &[String]) -> i32 {
     );
     println!("{table}");
 
-    if parsed.json {
-        println!(
-            "{{\"experiment\":\"sanitize\",\"quick\":{quick},\"errors\":{errors},\
-             \"pass\":{}}}",
-            errors == 0
-        );
-    }
-
-    if errors > 0 {
-        eprintln!("[sanitize] FAIL: {errors} error-severity diagnostic(s)");
-        crate::cli::EXIT_GATE_FAIL
-    } else {
-        println!("[sanitize] PASS: no error-severity diagnostics");
-        crate::cli::EXIT_PASS
-    }
+    gate.row(format!(
+        "{{\"experiment\":\"sanitize\",\"quick\":{quick},\"errors\":{errors},\"pass\":{}}}",
+        errors == 0
+    ));
+    gate.check(errors == 0, format!("{errors} error-severity diagnostic(s)"));
+    gate.finish("no error-severity diagnostics")
 }
 
 /// Times the paper's five solvers on the headline 512x512 batch with the
