@@ -16,7 +16,7 @@
 //! faults may cost latency and degrade flushes to the CPU safety net, but
 //! never correctness.
 
-use crate::gate::{Gate, RESIDUAL_BOUND};
+use crate::gate::{Gate, Scorer, RESIDUAL_BOUND};
 use crate::report::Table;
 use gpu_sim::{FaultConfig, FaultPlan, FaultStats, Launcher};
 use gpu_solvers::GpuAlgorithm;
@@ -152,23 +152,17 @@ fn drive(seed: u64, cell: &Cell, total: usize) -> CellOutcome {
     };
     let service: SolverService<f32> = SolverService::start(config);
     let mut generator = Generator::new(seed);
-    let mut tickets: Vec<Ticket<f32>> = Vec::with_capacity(total);
+    let mut sent = Vec::with_capacity(total);
     let mut shed = 0u64;
     for i in 0..total {
         let n = SIZES[i % SIZES.len()];
         let system = generator.system(Workload::DiagonallyDominant, n);
         match submit_retrying(&service, &system) {
-            Some(ticket) => tickets.push(ticket),
+            Some(ticket) => sent.push((system, ticket)),
             None => shed += 1,
         }
     }
-    let mut wrong = 0u64;
-    for ticket in tickets {
-        let response = ticket.wait();
-        if !response.residual.is_finite() || response.residual >= RESIDUAL_BOUND {
-            wrong += 1;
-        }
-    }
+    let wrong = Scorer::wait_all(sent).wrong;
     let snapshot = service.shutdown();
     let deg = &snapshot.degradation;
     CellOutcome {

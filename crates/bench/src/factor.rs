@@ -16,7 +16,7 @@
 //! iff the warm speedup drops below the checked-in floor, the hit rate
 //! collapses, or any answer in either mode escapes the verify bound.
 
-use crate::gate::{Gate, RESIDUAL_BOUND};
+use crate::gate::{Gate, Scorer, RESIDUAL_BOUND};
 use crate::report::Table;
 use factor_cache::SharedFactorCache;
 use gpu_sim::{Clock, Launcher};
@@ -77,7 +77,7 @@ pub(crate) fn serve_pooled(
     };
 
     let flushes = (total / BATCH).max(1);
-    let mut tickets: Vec<Ticket<f32>> = Vec::with_capacity(flushes * BATCH);
+    let mut sent: Vec<(TridiagonalSystem<f32>, Ticket<f32>)> = Vec::with_capacity(flushes * BATCH);
     let mut rhs_rng = rhs_seed;
     let mut id = 0u64;
     for f in 0..flushes {
@@ -89,10 +89,10 @@ pub(crate) fn serve_pooled(
             for v in system.d.iter_mut() {
                 *v = (splitmix64(&mut rhs_rng) % 19) as f32 - 9.0;
             }
-            let (req, ticket) = make_request_keyed(id, system, 0, None, Some(*key));
+            let (req, ticket) = make_request_keyed(id, system.clone(), 0, None, Some(*key));
             id += 1;
             requests.push(req);
-            tickets.push(ticket);
+            sent.push((system, ticket));
         }
         serve_flush(
             DeviceCtx::solo(&launcher),
@@ -104,21 +104,16 @@ pub(crate) fn serve_pooled(
         );
     }
 
-    let mut wrong = 0u64;
-    let mut max_residual = 0.0f64;
-    for ticket in tickets {
-        let response = ticket.try_take().expect("synchronous serve fulfils every ticket");
-        if !response.residual.is_finite() || response.residual >= RESIDUAL_BOUND {
-            wrong += 1;
-        }
-        max_residual = max_residual.max(response.residual);
+    let mut scorer = Scorer::default();
+    for (system, ticket) in sent {
+        scorer.score(&system, &ticket.try_take().expect("synchronous serve fulfils every ticket"));
     }
 
     let snap = metrics.snapshot(0, plans.tunes(), plans.hits());
     let total_engine_ms: f64 = snap.engine_ms.values().sum();
     PooledRun {
-        wrong,
-        max_residual,
+        wrong: scorer.wrong,
+        max_residual: scorer.max_residual,
         device_us_per_system: total_engine_ms * 1e3 / snap.completed.max(1) as f64,
         snap,
     }

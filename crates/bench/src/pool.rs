@@ -21,12 +21,12 @@
 //!    CPU GEP reference. Gate: every row verifies.
 
 use crate::chaos::submit_retrying;
-use crate::gate::{Gate, RESIDUAL_BOUND};
+use crate::gate::{Gate, Scorer};
 use crate::report::Table;
 use device_pool::PoolConfig;
 use gpu_sim::FaultConfig;
 use gpu_solvers::{solve_partitioned, GpuAlgorithm};
-use solver_service::{Engine, ServiceConfig, SolverService, Ticket};
+use solver_service::{Engine, ServiceConfig, SolverService};
 use std::time::Duration;
 use tridiag_core::residual::l2_residual;
 use tridiag_core::{Generator, TridiagonalSystem, Workload};
@@ -69,18 +69,14 @@ fn drive_scaling(seed: u64, devices: usize, total: usize) -> ScalingCell {
     };
     let service: SolverService<f32> = SolverService::start(config);
     let mut generator = Generator::new(seed);
-    let mut tickets: Vec<Ticket<f32>> = Vec::with_capacity(total);
+    let mut sent = Vec::with_capacity(total);
     for _ in 0..total {
         let system = generator.system(Workload::DiagonallyDominant, SCALING_N);
-        tickets.extend(submit_retrying(&service, &system));
-    }
-    let mut wrong = 0u64;
-    for ticket in tickets {
-        let response = ticket.wait();
-        if !response.residual.is_finite() || response.residual >= RESIDUAL_BOUND {
-            wrong += 1;
+        if let Some(ticket) = submit_retrying(&service, &system) {
+            sent.push((system, ticket));
         }
     }
+    let wrong = Scorer::wait_all(sent).wrong;
     let snapshot = service.shutdown();
     let makespan_ms =
         snapshot.devices.iter().map(|d| d.device_ms).fold(0.0f64, f64::max).max(1e-12);
@@ -138,7 +134,7 @@ fn drive_failover(seed: u64, total: usize) -> FailoverOutcome {
     };
     let service: SolverService<f32> = SolverService::start(config);
     let mut generator = Generator::new(seed);
-    let mut tickets: Vec<Ticket<f32>> = Vec::with_capacity(total);
+    let mut sent = Vec::with_capacity(total);
     // Feed the stream in small waves until the doomed device has actually
     // tripped its fault, then pour in the remainder. Without this pacing an
     // oversubscribed host can let the survivors steal every flush routed to
@@ -149,7 +145,9 @@ fn drive_failover(seed: u64, total: usize) -> FailoverOutcome {
         let wave = 8.min(total - submitted);
         for _ in 0..wave {
             let system = generator.system(Workload::DiagonallyDominant, SCALING_N);
-            tickets.extend(submit_retrying(&service, &system));
+            if let Some(ticket) = submit_retrying(&service, &system) {
+                sent.push((system, ticket));
+            }
             submitted += 1;
         }
         let dead_down = service.metrics().devices.iter().any(|d| d.id == DEAD && d.lost);
@@ -160,15 +158,11 @@ fn drive_failover(seed: u64, total: usize) -> FailoverOutcome {
     }
     for _ in submitted..total {
         let system = generator.system(Workload::DiagonallyDominant, SCALING_N);
-        tickets.extend(submit_retrying(&service, &system));
-    }
-    let mut wrong = 0u64;
-    for ticket in tickets {
-        let response = ticket.wait();
-        if !response.residual.is_finite() || response.residual >= RESIDUAL_BOUND {
-            wrong += 1;
+        if let Some(ticket) = submit_retrying(&service, &system) {
+            sent.push((system, ticket));
         }
     }
+    let wrong = Scorer::wait_all(sent).wrong;
     let snapshot = service.shutdown();
     let dead = snapshot.devices.iter().find(|d| d.id == DEAD).expect("dead device gauge");
     let survivors: Vec<_> = snapshot.devices.iter().filter(|d| d.id != DEAD).collect();
