@@ -311,7 +311,7 @@ fn json_object_with<'a>(text: &'a str, key: &str, value: &str) -> Option<&'a str
 }
 
 /// The `(key, raw value)` pairs of a flat JSON object whose string values
-/// hold no `,` or `:` (true of every baseline row).
+/// hold no `,` (true of every baseline row).
 fn json_fields(object: &str) -> Vec<(&str, &str)> {
     object
         .trim_matches(|c| c == '{' || c == '}')
