@@ -63,8 +63,11 @@ cargo test --offline -q --manifest-path tribench/Cargo.toml
 # Short tribench runs: each exits nonzero on any rejected, wrong or
 # missing answer, so these are correctness smokes, not timing gates.
 # keyed_churn's one-request flushes take the scalar solvers; cold_batch
-# and warm_rhs fill flushes of 64, so they reach the lockstep sweeps.
-for workload in keyed_churn cold_batch warm_rhs; do
+# and warm_rhs fill flushes of 64, so they reach the lockstep sweeps;
+# gpu_modeled runs the trace-lab harness on the simulated clock and also
+# fails when a size class leaves its frozen GPU_PLANS route (at least
+# three epochs, so about 6 s).
+for workload in keyed_churn cold_batch warm_rhs gpu_modeled; do
     echo "==> tribench smoke ($workload, 3 s)"
     cargo run --offline --release --quiet --manifest-path tribench/Cargo.toml -- \
         --workload "$workload" --seconds 3

@@ -465,8 +465,9 @@ mod tests {
         let answer = |x: Vec<f32>| SolveResponse {
             id: 0,
             x,
+            matrix: std::sync::Arc::new(sent.clone().into_parts().0),
             residual: 1e-9,
-            engine: "cpu-thomas".to_string(),
+            engine: "cpu-thomas".into(),
             repaired: false,
             batch_occupancy: 1,
             latency: std::time::Duration::ZERO,

@@ -16,7 +16,9 @@
 //! 3. **Accept or repair** — [`accept_or_repair`], the one acceptance
 //!    rule, applied once to every answer.
 //! 4. **Account** — warm-entry invalidation, certificate revocation,
-//!    metrics, trace, and ticket fulfilment.
+//!    metrics, trace, and ticket fulfilment. Each answer is written into
+//!    its request's own `d` buffer and returned with the request's matrix,
+//!    so the worker allocates and frees nothing per request.
 //!
 //! Routing policy, in order:
 //!
@@ -62,7 +64,7 @@ use crate::batcher::FlushedBatch;
 use crate::breaker::{Admission, CircuitBreakers};
 use crate::metrics::ServiceMetrics;
 use crate::planner::{CpuEngine, Engine, PlanCache};
-use crate::request::SolveRequest;
+use crate::request::{SolveRequest, SolveResponse};
 use crate::trace::{TraceEvent, TraceHandle};
 use cpu_solvers::{gep, lockstep};
 use device_pool::DevicePool;
@@ -308,24 +310,30 @@ pub fn serve_flush<T: Real>(
         at: cfg.clock.now(),
         n: n as u64,
         occupancy: occupancy as u64,
-        engine: run.engine_label.clone(),
+        engine: run.engine_label.to_string(),
         reason,
         engine_ns,
         repairs: repairs as u64,
         degraded: run.degraded,
     });
 
+    // Hand every client buffer back: acceptance has read each `d`, so the
+    // accepted answer overwrites it and returns as `x`, and the matrix
+    // rides back on the response. The worker allocates no answer and frees
+    // none of the client's memory.
     let now = cfg.clock.now();
     for (i, request) in requests.into_iter().enumerate() {
-        let latency = tick_duration(request.submitted_at, now);
-        let deadline_missed = request.deadline.is_some_and(|d| now > d);
+        let SolveRequest { id, matrix, d: mut x, submitted_at, deadline, slot, .. } = request;
+        let latency = tick_duration(submitted_at, now);
+        let deadline_missed = deadline.is_some_and(|d| now > d);
         if deadline_missed {
             metrics.on_deadline_miss();
         }
-        let id = request.id;
-        request.fulfil(crate::request::SolveResponse {
+        x.copy_from_slice(run.solutions.system(i));
+        slot.put(SolveResponse {
             id,
-            x: run.solutions.system(i).to_vec(),
+            x,
+            matrix,
             residual: acceptance.residuals[i],
             engine: run.engine_label.clone(),
             repaired: acceptance.repaired[i],
@@ -461,7 +469,8 @@ fn sanitize_decision<T: Real>(
 /// be.
 struct Run<T: Real> {
     solutions: SolutionBatch<T>,
-    engine_label: String,
+    /// One label per flush, shared by all of its responses.
+    engine_label: Arc<str>,
     /// Simulated device ms (GPU) or CPU engine ms (measured on a real
     /// clock, modeled on a simulated one).
     engine_ms: f64,
@@ -490,13 +499,13 @@ impl<T: Real> Run<T> {
     /// Answers fresh from a pivot-free engine with no fault history.
     fn new(
         solutions: SolutionBatch<T>,
-        engine_label: String,
+        engine_label: impl Into<Arc<str>>,
         engine_ms: f64,
         policy: VerifyPolicy,
     ) -> Self {
         Self {
             solutions,
-            engine_label,
+            engine_label: engine_label.into(),
             engine_ms,
             producer: Producer::PivotFree,
             policy,
@@ -819,7 +828,7 @@ fn run_warm<T: Real>(
         match gpu_solvers::solve_batch_warm(device.launcher, &entry.thomas, &rhs) {
             Ok(report) => {
                 let ms = report.timing.total_ms();
-                return Run::new(report.solutions, "warm-gpu".into(), ms, policy);
+                return Run::new(report.solutions, "warm-gpu", ms, policy);
             }
             Err(e) if e.is_device_fault() => {
                 device_faults += 1;
@@ -837,7 +846,7 @@ fn run_warm<T: Real>(
         .expect("flush holds >=1 same-size systems");
     lockstep::solve_factored(&entry.thomas, &mut solutions, |k| systems[k].d);
     let ms = cpu_engine_ms(&cfg.clock, sim_cpu_warm_ns(n, count), n, count, policy, started);
-    Run { device_faults, degraded, ..Run::new(solutions, "cpu-warm".into(), ms, policy) }
+    Run { device_faults, degraded, ..Run::new(solutions, "cpu-warm", ms, policy) }
 }
 
 /// Runs a CPU engine over every system: Thomas in lockstep groups (see
@@ -962,7 +971,7 @@ mod tests {
             flush,
         );
         for ticket in tickets {
-            assert_eq!(ticket.try_take().unwrap().engine, "cpu-thomas");
+            assert_eq!(&*ticket.try_take().unwrap().engine, "cpu-thomas");
         }
     }
 
@@ -1014,7 +1023,7 @@ mod tests {
         );
         for (i, ticket) in tickets.into_iter().enumerate() {
             let resp = ticket.try_take().unwrap();
-            assert_eq!(resp.engine, "cpu-thomas", "system {i}");
+            assert_eq!(&*resp.engine, "cpu-thomas", "system {i}");
             if i == 3 {
                 assert!(resp.repaired, "GEP repairs the singular lane");
                 assert!(resp.residual < 1e-2, "{}", resp.residual);
@@ -1047,7 +1056,7 @@ mod tests {
         );
         for ticket in tickets {
             // ...but the pin forces the GPU engine anyway.
-            assert_eq!(ticket.try_take().unwrap().engine, "cr+pcr@32");
+            assert_eq!(&*ticket.try_take().unwrap().engine, "cr+pcr@32");
         }
         assert_eq!(plans.tunes(), 0, "pinning must not trigger autotune");
         let snap = metrics.snapshot(0, 0, 0);
@@ -1075,7 +1084,7 @@ mod tests {
         );
         for ticket in tickets {
             let resp = ticket.try_take().unwrap();
-            assert_eq!(resp.engine, "rd");
+            assert_eq!(&*resp.engine, "rd");
             assert!(resp.residual.is_finite() && resp.residual < 1e-2, "{}", resp.residual);
         }
         assert!(metrics.snapshot(0, 0, 0).repaired > 0);
@@ -1112,7 +1121,7 @@ mod tests {
         );
         for (i, ticket) in tickets.into_iter().enumerate() {
             let resp = ticket.try_take().unwrap();
-            assert_eq!(resp.engine, "cr+pcr@32", "system {i}");
+            assert_eq!(&*resp.engine, "cr+pcr@32", "system {i}");
             if i == 5 {
                 assert!(resp.repaired, "the singular system is repaired");
                 assert_eq!(resp.residual, f64::INFINITY, "GEP cannot solve it either");
@@ -1151,7 +1160,7 @@ mod tests {
             flush,
         );
         for ticket in tickets {
-            assert_eq!(ticket.try_take().unwrap().engine, "cr+pcr@32", "the probe served");
+            assert_eq!(&*ticket.try_take().unwrap().engine, "cr+pcr@32", "the probe served");
         }
         assert_eq!(breakers.state("dev0:cr+pcr@32"), BreakerState::Closed);
         assert_eq!(metrics.snapshot(0, 0, 0).degradation.degraded_flushes, 0);
@@ -1176,18 +1185,18 @@ mod tests {
         };
         // CR needs a power-of-two size. A closed breaker ignores the
         // configuration error: the engine is not at fault.
-        assert!(serve(100, 47).iter().all(|e| e == "cpu-gep"));
+        assert!(serve(100, 47).iter().all(|e| &**e == "cpu-gep"));
         assert_eq!(breakers.state("dev0:cr"), BreakerState::Closed);
 
         // As a half-open probe the same error re-opens the breaker...
         breakers.trip("dev0:cr");
         clock.advance(BreakerConfig::default().cooldown);
-        assert!(serve(100, 48).iter().all(|e| e == "cpu-gep"));
+        assert!(serve(100, 48).iter().all(|e| &**e == "cpu-gep"));
         assert_eq!(breakers.state("dev0:cr"), BreakerState::Open, "the probe reported");
 
         // ...so one cooldown later a healthy flush probes and wins it back.
         clock.advance(BreakerConfig::default().cooldown);
-        assert!(serve(64, 49).iter().all(|e| e == "cr"), "the engine was never disabled");
+        assert!(serve(64, 49).iter().all(|e| &**e == "cr"), "the engine was never disabled");
         assert_eq!(breakers.state("dev0:cr"), BreakerState::Closed);
     }
 
@@ -1218,7 +1227,7 @@ mod tests {
                 assert!(resp.residual < 1e-2, "{}", resp.residual);
                 // Production kernels are clean: the sanitized flush must
                 // still have been served on the pinned GPU engine.
-                assert_eq!(resp.engine, "cr+pcr@32");
+                assert_eq!(&*resp.engine, "cr+pcr@32");
             }
         }
         let snap = metrics.snapshot(0, 0, 0);
@@ -1288,7 +1297,7 @@ mod tests {
             true,
             VerifyPolicy::full(100.0),
         );
-        assert_eq!(run.engine_label, "cr");
+        assert_eq!(&*run.engine_label, "cr");
         let (errors, _warnings) = run.sanitizer_findings.expect("sanitized flush reports findings");
         assert_eq!(errors, 0);
     }
@@ -1319,7 +1328,7 @@ mod tests {
             );
             for ticket in tickets {
                 let resp = ticket.try_take().unwrap();
-                assert_eq!(resp.engine, "cr+pcr@32", "proof skip must not reroute the flush");
+                assert_eq!(&*resp.engine, "cr+pcr@32", "proof skip must not reroute the flush");
                 assert!(resp.residual < 1e-2, "{}", resp.residual);
             }
         }
@@ -1357,7 +1366,7 @@ mod tests {
         );
         for ticket in tickets {
             let resp = ticket.try_take().unwrap();
-            assert_eq!(resp.engine, "thomas-per-thread");
+            assert_eq!(&*resp.engine, "thomas-per-thread");
             assert!(resp.residual < 1e-2, "{}", resp.residual);
         }
         let snap = metrics.snapshot(0, 0, 0);
@@ -1470,7 +1479,7 @@ mod tests {
         );
         for ticket in tickets {
             let resp = ticket.try_take().unwrap();
-            assert_eq!(resp.engine, "warm-gpu");
+            assert_eq!(&*resp.engine, "warm-gpu");
             assert!(!resp.repaired, "a healthy warm flush needs no repair");
             assert!(resp.residual < 1e-2, "{}", resp.residual);
         }
@@ -1487,7 +1496,7 @@ mod tests {
         );
         for ticket in tickets {
             let resp = ticket.try_take().unwrap();
-            assert_eq!(resp.engine, "cpu-warm");
+            assert_eq!(&*resp.engine, "cpu-warm");
             assert!(resp.residual < 1e-2, "{}", resp.residual);
         }
 
@@ -1527,7 +1536,7 @@ mod tests {
             );
             for (i, ticket) in tickets.into_iter().enumerate() {
                 let resp = ticket.try_take().unwrap();
-                assert_eq!(resp.engine, engine, "flush {seed}, rhs {i}");
+                assert_eq!(&*resp.engine, engine, "flush {seed}, rhs {i}");
                 if engine == "cpu-warm" {
                     assert_eq!(bits(&resp.x), bits(&factors.solve(&rhs[i])), "rhs {i}");
                 }
@@ -1905,7 +1914,7 @@ mod tests {
         serve_flush(DeviceCtx::solo(&launcher), &plans, &breakers, &metrics, &pinned, flush);
         for ticket in tickets {
             let resp = ticket.try_take().expect("retry must still answer");
-            assert_eq!(resp.engine, "cr+pcr@32", "retry stays on the planned engine");
+            assert_eq!(&*resp.engine, "cr+pcr@32", "retry stays on the planned engine");
             assert!(resp.residual < 1e-2, "{}", resp.residual);
         }
         let d = metrics.snapshot(0, 0, 0).degradation;
@@ -1933,7 +1942,7 @@ mod tests {
         serve_flush(DeviceCtx::solo(&launcher), &plans, &breakers, &metrics, &pinned, flush);
         for ticket in tickets {
             let resp = ticket.try_take().expect("degradation must still answer");
-            assert_eq!(resp.engine, "cpu-gep", "device loss lands on the safety net");
+            assert_eq!(&*resp.engine, "cpu-gep", "device loss lands on the safety net");
             assert!(resp.residual < 1e-2, "{}", resp.residual);
         }
         let d = metrics.snapshot(0, 0, 0).degradation;
@@ -1966,7 +1975,7 @@ mod tests {
             false,
             VerifyPolicy::full(100.0),
         );
-        assert_eq!(run.engine_label, "cpu-gep");
+        assert_eq!(&*run.engine_label, "cpu-gep");
         assert!(run.degraded);
         assert_eq!(run.device_faults, 4, "max_total_attempts bounds the faults");
         assert_eq!(run.retries, 3);
@@ -1994,7 +2003,7 @@ mod tests {
         serve_flush(DeviceCtx::solo(&launcher), &plans, &breakers, &metrics, &pinned, flush);
         for ticket in tickets {
             let resp = ticket.try_take().unwrap();
-            assert_eq!(resp.engine, "cpu-gep", "open breaker demotes to the safety net");
+            assert_eq!(&*resp.engine, "cpu-gep", "open breaker demotes to the safety net");
             assert!(resp.residual < 1e-2, "{}", resp.residual);
         }
         assert!(breakers.denials_total() >= 1);

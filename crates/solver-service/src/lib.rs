@@ -9,7 +9,9 @@
 //!    blocking submitters — load is shed at the edge. A request shares
 //!    its coefficient matrix behind an `Arc` ([`request`]), so a
 //!    multi-RHS call copies its matrix once and enters the queue with one
-//!    push; a ticket wakes its waiter only when the waiter is parked.
+//!    push; a ticket wakes its waiter only when the waiter is parked. The
+//!    response hands the client's buffers back: the answer in the
+//!    request's own `d`, and the matrix `Arc` itself.
 //! 2. **Micro-batching** ([`batcher`]): requests accumulate in per-size
 //!    buckets (systems of different `n` never share a kernel launch) and
 //!    flush at a target batch size or a max-linger deadline, whichever
@@ -22,9 +24,10 @@
 //!    against a residual bound and repaired with pivoted Gaussian
 //!    elimination when needed — the service never returns an unverified
 //!    answer.
-//! 4. **Observability** ([`metrics`]): lock-cheap counters, a log2
-//!    latency histogram with p50/p95/p99, per-engine dispatch counts and
-//!    a batch-occupancy histogram, snapshot-able as JSON.
+//! 4. **Observability** ([`metrics`]): lock-cheap counters, a
+//!    log-linear latency histogram (eight buckets per power of two) with
+//!    p50/p95/p99, per-engine dispatch counts and a batch-occupancy
+//!    histogram, snapshot-able as JSON.
 //! 5. **Resilience** ([`breaker`], plus deadline/retry plumbing in
 //!    [`batcher`] and [`dispatch`]): per-request completion deadlines pull
 //!    bucket flushes forward; transient device faults retry with

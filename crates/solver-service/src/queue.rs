@@ -98,27 +98,28 @@ impl<R> BoundedQueue<R> {
 
     /// Attempts to enqueue; never blocks.
     pub fn push(&self, item: R) -> Result<(), PushError> {
-        let mut items = VecDeque::from([item]);
-        self.push_many(&mut items).map(drop)
+        self.push_many(std::iter::once(item)).map(drop)
     }
 
-    /// Moves items from the front of `items` into the queue, in order,
+    /// Takes items from the front of `items` into the queue, in order,
     /// until the queue is full; never blocks. Returns how many moved (all
-    /// of them when they fit); what did not fit stays in `items`.
+    /// of them when they fit). The iterator is advanced only past what
+    /// moved, so a caller that passes `by_ref()` keeps what did not fit.
     ///
     /// # Errors
     /// [`PushError::Closed`] after [`close`](Self::close);
     /// [`PushError::Full`] when `items` is non-empty and not one fits.
-    pub fn push_many(&self, items: &mut VecDeque<R>) -> Result<usize, PushError> {
+    pub fn push_many(&self, items: impl ExactSizeIterator<Item = R>) -> Result<usize, PushError> {
         let mut s = self.lock();
         if s.closed {
             return Err(PushError::Closed);
         }
-        let moved = items.len().min(self.capacity.saturating_sub(s.items.len()));
-        if moved == 0 && !items.is_empty() {
+        let offered = items.len();
+        let moved = offered.min(self.capacity.saturating_sub(s.items.len()));
+        if moved == 0 && offered > 0 {
             return Err(PushError::Full);
         }
-        s.items.extend(items.drain(..moved));
+        s.items.extend(items.take(moved));
         drop(s);
         if moved > 0 {
             self.nonempty.notify_one();
@@ -242,7 +243,7 @@ mod tests {
     fn a_consumer_arriving_after_the_push_takes_the_item_without_parking() {
         let q = BoundedQueue::new(4);
         q.push(1u32).unwrap();
-        q.push_many(&mut VecDeque::from([2, 3])).unwrap();
+        q.push_many([2, 3].into_iter()).unwrap();
         let clock = Clock::real();
         for want in 1..=3 {
             assert!(matches!(q.pop_until(None, &clock), Pop::Item(v) if v == want));
@@ -253,18 +254,18 @@ mod tests {
     fn push_many_moves_what_fits_in_order() {
         let q = BoundedQueue::new(3);
         q.push(0u32).unwrap();
-        let mut items: VecDeque<u32> = (1..=4).collect();
-        assert_eq!(q.push_many(&mut items), Ok(2));
-        assert_eq!(items, VecDeque::from([3, 4]), "the rest stays with the caller");
-        assert_eq!(q.push_many(&mut items), Err(PushError::Full));
+        let mut items = vec![1, 2, 3, 4].into_iter();
+        assert_eq!(q.push_many(items.by_ref()), Ok(2));
+        assert_eq!(items.as_slice(), [3, 4], "the rest stays with the caller");
+        assert_eq!(q.push_many(items.by_ref()), Err(PushError::Full));
         assert_eq!(items.len(), 2, "a full queue takes nothing");
-        assert_eq!(q.push_many(&mut VecDeque::new()), Ok(0));
+        assert_eq!(q.push_many(std::iter::empty()), Ok(0));
         let clock = Clock::real();
         for want in 0..3 {
             assert!(matches!(q.pop_until(None, &clock), Pop::Item(v) if v == want));
         }
         q.close();
-        assert_eq!(q.push_many(&mut items), Err(PushError::Closed));
+        assert_eq!(q.push_many(items.by_ref()), Err(PushError::Closed));
     }
 
     #[test]

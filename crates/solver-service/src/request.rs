@@ -10,13 +10,22 @@
 //! that system's vectors into its own `Arc` without copying them. Readers
 //! see the whole system through [`SolveRequest::system`].
 //!
-//! The worker that eventually solves the system fulfils the ticket with a
-//! [`SolveResponse`]; the submitter blocks on [`Ticket::wait`] (or polls
-//! [`Ticket::try_take`]) without any shared channel — each request carries
-//! its own one-shot slot, so responses can never be cross-delivered or
-//! duplicated. The slot wakes its reader only when the reader is parked
-//! in [`Ticket::wait`]: a flag under the slot's mutex records that, so a
-//! put to a ticket nobody waits on (yet) makes no wake-up call.
+//! Every buffer a client hands in comes back to it. Once acceptance has
+//! read `d`, the worker overwrites it with the accepted answer and returns
+//! it as [`SolveResponse::x`], and the request's `Arc<Matrix>` rides back
+//! as [`SolveResponse::matrix`]. So the serving worker allocates no answer
+//! and frees none of the client's memory: the last reference to the
+//! coefficients drops wherever the client drops its response. The one
+//! exception is a ticket dropped before its answer arrives: the worker then
+//! holds the slot's last reference and frees the response itself.
+//!
+//! The worker puts the [`SolveResponse`] into the request's one-shot slot;
+//! the submitter blocks on [`Ticket::wait`] (or polls [`Ticket::try_take`])
+//! without any shared channel — each request carries its own slot, so
+//! responses can never be cross-delivered or duplicated. The slot wakes its
+//! reader only when the reader is parked in [`Ticket::wait`]: a flag under
+//! the slot's mutex records that, so a put to a ticket nobody waits on
+//! (yet) makes no wake-up call.
 
 use gpu_sim::Tick;
 use std::sync::{Arc, Condvar, Mutex};
@@ -64,11 +73,6 @@ impl<T: Real> SolveRequest<T> {
     pub fn n(&self) -> usize {
         self.matrix.n()
     }
-
-    /// Fulfils the request's ticket. Called exactly once by the worker.
-    pub(crate) fn fulfil(self, response: SolveResponse<T>) {
-        self.slot.put(response);
-    }
 }
 
 /// The answer to one [`SolveRequest`].
@@ -76,13 +80,19 @@ impl<T: Real> SolveRequest<T> {
 pub struct SolveResponse<T: Real> {
     /// Echo of the request id.
     pub id: u64,
-    /// The solution vector, length `n`.
+    /// The solution vector, length `n`: the request's own right-hand-side
+    /// buffer, overwritten with the accepted answer.
     pub x: Vec<T>,
+    /// The coefficient matrix the answer solves, the same `Arc` the request
+    /// carried. Holding the response keeps the matrix alive; resubmitting
+    /// it (see [`SolveRequest::matrix`]) costs no copy.
+    pub matrix: Arc<Matrix<T>>,
     /// Achieved `||Ax − d||₂` residual of the returned solution.
     pub residual: f64,
     /// Canonical spelling of the engine that produced the final answer
-    /// (e.g. `cr+pcr@256`, `cpu-thomas`).
-    pub engine: String,
+    /// (e.g. `cr+pcr@256`, `cpu-thomas`), shared by every response of one
+    /// flush.
+    pub engine: Arc<str>,
     /// Whether the GEP safety net had to re-solve this system after the
     /// primary engine's answer failed verification.
     pub repaired: bool,
@@ -259,6 +269,7 @@ mod tests {
         SolveResponse {
             id,
             x: vec![0.0; 4],
+            matrix: Arc::new(sys().into_parts().0),
             residual: 0.0,
             engine: "cpu-thomas".into(),
             repaired: false,
@@ -273,7 +284,7 @@ mod tests {
         let (req, ticket) = make_request(7, sys());
         assert_eq!(ticket.id(), 7);
         assert!(ticket.try_take().is_none());
-        req.fulfil(response(7));
+        req.slot.put(response(7));
         assert_eq!(ticket.wait().id, 7);
     }
 
@@ -303,7 +314,7 @@ mod tests {
         while !slot.lock().parked {
             std::thread::yield_now();
         }
-        req.fulfil(response(3));
+        req.slot.put(response(3));
         assert_eq!(rx.recv_timeout(WAKE_TIMEOUT).expect("the put must wake the reader"), 3);
         reader.join().unwrap();
         assert!(!slot.lock().parked, "a woken reader clears its flag");
@@ -312,7 +323,7 @@ mod tests {
     #[test]
     fn a_reader_arriving_after_the_put_takes_without_parking() {
         let (req, ticket) = make_request(4, sys());
-        req.fulfil(response(4));
+        req.slot.put(response(4));
         assert!(!ticket.slot.lock().parked, "nobody parked, so nobody was woken");
         assert_eq!(ticket.wait().id, 4);
     }
@@ -321,7 +332,7 @@ mod tests {
     fn polling_then_waiting_sees_the_one_answer() {
         let (req, ticket) = make_request(5, sys());
         assert!(ticket.try_take().is_none(), "nothing to take yet");
-        let worker = std::thread::spawn(move || req.fulfil(response(5)));
+        let worker = std::thread::spawn(move || req.slot.put(response(5)));
         assert_eq!(ticket.wait().id, 5);
         worker.join().unwrap();
     }
@@ -346,7 +357,7 @@ mod tests {
         let (req, ticket) = make_request(1, sys());
         let worker = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(5));
-            req.fulfil(response(1));
+            req.slot.put(response(1));
         });
         assert_eq!(ticket.wait().id, 1);
         worker.join().unwrap();

@@ -51,7 +51,6 @@ use crate::trace::{RejectReason, TraceEvent, TraceHandle};
 use device_pool::{DevicePool, PoolConfig, Pop as DevicePop, StealQueues};
 use factor_cache::SharedFactorCache;
 use gpu_sim::{tick_duration, Clock, Launcher, Tick};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -386,8 +385,9 @@ impl<T: Real> SolverService<T> {
     ) -> Result<Ticket<T>, ServiceError> {
         let matrix_key = self.keyed().then(|| MatrixKey::of_system(&system));
         let (matrix, d) = system.into_parts();
-        let mut tickets = self.admit(Arc::new(matrix), [d], deadline, matrix_key, retry)?;
-        Ok(tickets.pop().expect("one right-hand side, one ticket"))
+        let One(ticket) =
+            self.admit::<One<_>, One<_>>(Arc::new(matrix), [d], deadline, matrix_key, retry)?;
+        Ok(ticket.expect("one right-hand side, one ticket"))
     }
 
     /// Whether admitted systems are identity-hashed: with the factor cache
@@ -401,16 +401,24 @@ impl<T: Real> SolverService<T> {
     /// The one admission path: one request per right-hand side in `rhs`,
     /// all sharing `matrix`, its key and `deadline`, pushed in order (see
     /// [`Self::enqueue`]). Every right-hand side is checked against the
-    /// matrix before any request is pushed. Returns the tickets in `rhs`
-    /// order.
-    fn admit(
+    /// matrix before any request is built. The requests wait for the push
+    /// in a `P` and the tickets return in `rhs` order in a `K`: `Vec`s for
+    /// a multi-RHS call, and for `submit` a [`One`], so that a one-shot
+    /// submission allocates only its matrix's `Arc` and its ticket's slot.
+    fn admit<P, K>(
         &self,
         matrix: Arc<Matrix<T>>,
-        rhs: impl IntoIterator<Item = Vec<T>, IntoIter: ExactSizeIterator>,
+        rhs: impl AsRef<[Vec<T>]> + IntoIterator<Item = Vec<T>, IntoIter: ExactSizeIterator>,
         deadline: Option<Tick>,
         matrix_key: Option<MatrixKey>,
         retry: bool,
-    ) -> Result<Vec<Ticket<T>>, ServiceError> {
+    ) -> Result<K, ServiceError>
+    where
+        P: Default
+            + Extend<SolveRequest<T>>
+            + IntoIterator<Item = SolveRequest<T>, IntoIter: ExactSizeIterator>,
+        K: Default + Extend<Ticket<T>>,
+    {
         let n = matrix.n();
         let now = self.shared.clock.now();
         if n < 2 {
@@ -423,51 +431,49 @@ impl<T: Real> SolverService<T> {
                 return Err(ServiceError::DeadlineExceeded { deadline: tick_duration(now, d) });
             }
         }
-        let rhs = rhs.into_iter();
-        let count = rhs.len();
-        let first_id = self.next_id.fetch_add(count as u64, Ordering::Relaxed);
-        let mut pending = VecDeque::with_capacity(count);
-        let mut tickets = Vec::with_capacity(count);
-        for (id, d) in (first_id..).zip(rhs) {
-            if let Err(e) = matrix.check_rhs(&d) {
-                self.reject(now, n, RejectReason::Invalid);
-                return Err(ServiceError::InvalidRequest(e));
-            }
-            let (request, ticket) = request_for(id, matrix.clone(), d, now, deadline, matrix_key);
-            pending.push_back(request);
-            tickets.push(ticket);
+        if let Err(e) = rhs.as_ref().iter().try_for_each(|d| matrix.check_rhs(d)) {
+            self.reject(now, n, RejectReason::Invalid);
+            return Err(ServiceError::InvalidRequest(e));
         }
-        self.enqueue(&mut pending, retry)?;
+        let rhs = rhs.into_iter();
+        let first_id = self.next_id.fetch_add(rhs.len() as u64, Ordering::Relaxed);
+        let (pending, tickets): (P, K) = (first_id..)
+            .zip(rhs)
+            .map(|(id, d)| request_for(id, matrix.clone(), d, now, deadline, matrix_key))
+            .unzip();
+        self.enqueue(n, &mut pending.into_iter(), retry)?;
         Ok(tickets)
     }
 
-    /// Pushes `pending` onto the admission queue in order: one queue
-    /// operation when everything fits. Each push stamps what it offers
-    /// with the current tick, so a request's admission tick is that of the
-    /// push that admitted it. A push that fits nothing is a rejection;
-    /// with `retry` (and a `retry_after` hint) the caller backs off once
-    /// for the hinted duration and tries again, and a second rejection in
-    /// a row surfaces. When only a piece fits, with `retry` the rest waits
-    /// for the batcher to make room and goes in the next piece; without
-    /// it, the rest is rejected. Requests already pushed when an error
-    /// returns are still served.
+    /// Pushes the `n`-row requests in `pending` onto the admission queue in
+    /// order: one queue operation when everything fits. Each push stamps
+    /// what it admits with the current tick, so a request's admission tick
+    /// is that of the push that admitted it. A push that fits nothing is a
+    /// rejection; with `retry` (and a `retry_after` hint) the caller backs
+    /// off once for the hinted duration and tries again, and a second
+    /// rejection in a row surfaces. When only a piece fits, with `retry`
+    /// the rest waits for the batcher to make room and goes in the next
+    /// piece; without it, the rest is rejected. Requests already pushed
+    /// when an error returns are still served.
     fn enqueue(
         &self,
-        pending: &mut VecDeque<SolveRequest<T>>,
+        n: usize,
+        pending: &mut impl ExactSizeIterator<Item = SolveRequest<T>>,
         retry: bool,
     ) -> Result<(), ServiceError> {
         let shared = &self.shared;
         let mut retried = false;
-        while let Some(front) = pending.front() {
-            let (at, n) = (shared.clock.now(), front.n());
-            // One push admits at most `capacity` requests.
-            let offered = pending.iter_mut().take(shared.queue.capacity());
-            offered.for_each(|r| r.submitted_at = at);
-            match shared.queue.push_many(pending) {
+        while pending.len() > 0 {
+            let at = shared.clock.now();
+            let stamped = pending.by_ref().map(|mut request| {
+                request.submitted_at = at;
+                request
+            });
+            match shared.queue.push_many(stamped) {
                 Ok(admitted) => {
                     shared.metrics.on_submit(admitted as u64);
                     retried = false;
-                    if pending.is_empty() {
+                    if pending.len() == 0 {
                         break;
                     }
                     if retry {
@@ -545,8 +551,13 @@ impl<T: Real> SolverService<T> {
         let matrix = Matrix::new(a.to_vec(), b.to_vec(), c.to_vec())
             .map_err(ServiceError::InvalidRequest)?;
         let matrix_key = self.keyed().then(|| MatrixKey::of::<T>(a, b, c));
-        let rhs = rhs_list.iter().cloned();
-        let tickets = self.admit(Arc::new(matrix), rhs, None, matrix_key, self.client_retry)?;
+        let tickets: Vec<_> = self.admit::<Vec<_>, _>(
+            Arc::new(matrix),
+            rhs_list.to_vec(),
+            None,
+            matrix_key,
+            self.client_retry,
+        )?;
         Ok(tickets.into_iter().map(Ticket::wait).collect())
     }
 
@@ -613,6 +624,34 @@ impl<T: Real> SolverService<T> {
 impl<T: Real> Drop for SolverService<T> {
     fn drop(&mut self) {
         self.shutdown_in_place();
+    }
+}
+
+/// At most one item: the container a one-shot `submit` admits into, so
+/// its admission allocates none.
+struct One<X>(Option<X>);
+
+impl<X> Default for One<X> {
+    fn default() -> Self {
+        Self(None)
+    }
+}
+
+impl<X> Extend<X> for One<X> {
+    fn extend<I: IntoIterator<Item = X>>(&mut self, items: I) {
+        for item in items {
+            debug_assert!(self.0.is_none(), "a second item for One");
+            self.0 = Some(item);
+        }
+    }
+}
+
+impl<X> IntoIterator for One<X> {
+    type Item = X;
+    type IntoIter = std::option::IntoIter<X>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter()
     }
 }
 

@@ -1,0 +1,218 @@
+//! Allocation counts on the serving path, read from a counting global
+//! allocator.
+//!
+//! The worker hands every client buffer back: it writes each accepted
+//! answer into its request's own `d` and returns the request's matrix
+//! `Arc` on the response. So serving a flush makes the same number of
+//! allocations and frees whatever its occupancy, and `submit` allocates
+//! only its matrix's `Arc` and its ticket's slot. The allocator counts per
+//! thread, so the service's own threads, and the other tests running
+//! alongside, never leak into a measurement.
+
+use gpu_sim::Launcher;
+use solver_service::{
+    make_request_keyed, serve_flush, CircuitBreakers, CpuEngine, DeviceCtx, DispatchConfig, Engine,
+    FlushReason, FlushedBatch, PlanCache, ServiceConfig, ServiceMetrics, SolverService, Ticket,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+use tridiag_core::residual::l2_residual;
+use tridiag_core::{Generator, Matrix, MatrixKey, TridiagonalSystem, Workload};
+
+/// The system allocator, counting every call on the calling thread. A
+/// `realloc` counts as one allocation and one free.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    // `try_with`: a thread being torn down may still free memory.
+    let _ = counter.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counters are
+// const-initialized thread-locals without destructors, so touching them
+// never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump(&ALLOCS);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump(&ALLOCS);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump(&ALLOCS);
+        bump(&FREES);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        bump(&FREES);
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Allocations and frees one closure made on this thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Counts {
+    allocs: u64,
+    frees: u64,
+}
+
+fn counted<R>(f: impl FnOnce() -> R) -> (R, Counts) {
+    let now = || (ALLOCS.with(Cell::get), FREES.with(Cell::get));
+    let before = now();
+    let out = f();
+    let after = now();
+    (out, Counts { allocs: after.0 - before.0, frees: after.1 - before.1 })
+}
+
+const N: usize = 128;
+
+/// What a served request must hand back: its `d` buffer and its matrix.
+struct Sent {
+    system: TridiagonalSystem<f32>,
+    d: *const f32,
+    matrix: *const Matrix<f32>,
+}
+
+/// A flush of one request per system, keyed with `key`, with what each
+/// request holds noted down.
+fn flush(
+    systems: &[TridiagonalSystem<f32>],
+    key: Option<MatrixKey>,
+) -> (FlushedBatch<f32>, Vec<Ticket<f32>>, Vec<Sent>) {
+    let mut requests = Vec::with_capacity(systems.len());
+    let mut tickets = Vec::with_capacity(systems.len());
+    let mut sent = Vec::with_capacity(systems.len());
+    for (id, system) in systems.iter().enumerate() {
+        let (request, ticket) = make_request_keyed(id as u64, system.clone(), 0, None, key);
+        sent.push(Sent {
+            system: system.clone(),
+            d: request.d.as_ptr(),
+            matrix: Arc::as_ptr(&request.matrix),
+        });
+        requests.push(request);
+        tickets.push(ticket);
+    }
+    (FlushedBatch { n: N, requests, reason: FlushReason::Full }, tickets, sent)
+}
+
+/// One serving worker's state, kept across flushes as a worker keeps it.
+struct Worker {
+    launcher: Launcher,
+    plans: PlanCache,
+    breakers: CircuitBreakers,
+    metrics: ServiceMetrics,
+    cfg: DispatchConfig,
+}
+
+impl Worker {
+    fn new(cfg: DispatchConfig) -> Self {
+        Worker {
+            launcher: Launcher::gtx280(),
+            plans: PlanCache::new(),
+            breakers: CircuitBreakers::default(),
+            metrics: ServiceMetrics::new(),
+            cfg,
+        }
+    }
+
+    /// Serves one flush of `systems` and counts what serving it allocated
+    /// and freed. Checks every response: the right answer, from `engine`,
+    /// in the request's own `d` buffer, with the request's own matrix.
+    fn serve(
+        &self,
+        systems: &[TridiagonalSystem<f32>],
+        key: Option<MatrixKey>,
+        engine: &str,
+    ) -> Counts {
+        let (batch, tickets, sent) = flush(systems, key);
+        let device = DeviceCtx::solo(&self.launcher);
+        let ((), counts) = counted(|| {
+            serve_flush(device, &self.plans, &self.breakers, &self.metrics, &self.cfg, batch)
+        });
+        for (ticket, sent) in tickets.into_iter().zip(&sent) {
+            let resp = ticket.try_take().expect("a synchronous serve fulfils every ticket");
+            assert_eq!(&*resp.engine, engine);
+            assert_eq!(resp.x.as_ptr(), sent.d, "the answer comes back in the request's d");
+            assert!(std::ptr::eq(Arc::as_ptr(&resp.matrix), sent.matrix), "the request's matrix");
+            let residual = l2_residual(&sent.system, &resp.x).expect("n answers");
+            assert!(residual < 1e-2, "{engine} answer off by {residual}");
+        }
+        counts
+    }
+}
+
+fn systems(count: usize, seed: u64) -> Vec<TridiagonalSystem<f32>> {
+    let mut generator = Generator::new(seed);
+    (0..count).map(|_| generator.system(Workload::DiagonallyDominant, N)).collect()
+}
+
+#[test]
+fn a_cold_flush_allocates_the_same_at_any_occupancy() {
+    let worker = Worker::new(DispatchConfig {
+        pin_engine: Some(Engine::Cpu(CpuEngine::Thomas)),
+        ..Default::default()
+    });
+    for (count, seed) in [(8, 1), (64, 2)] {
+        worker.serve(&systems(count, seed), None, "cpu-thomas");
+    }
+    let small = worker.serve(&systems(8, 3), None, "cpu-thomas");
+    let large = worker.serve(&systems(64, 4), None, "cpu-thomas");
+    assert_eq!(large, small, "serving 64 requests must cost what serving 8 does");
+}
+
+#[test]
+fn a_warm_flush_allocates_the_same_at_any_occupancy() {
+    // One matrix against many right-hand sides, every flush on the CPU.
+    let worker = Worker::new(DispatchConfig {
+        factor_cache: Some(Arc::new(factor_cache::SharedFactorCache::new(8))),
+        min_gpu_batch: usize::MAX,
+        ..Default::default()
+    });
+    let matrix = Generator::new(5).system::<f32>(Workload::DiagonallyDominant, N);
+    let key = Some(MatrixKey::of_system(&matrix));
+    let against = |count: usize, seed: u64| -> Vec<TridiagonalSystem<f32>> {
+        let rhs = systems(count, seed);
+        rhs.into_iter().map(|s| TridiagonalSystem { d: s.d, ..matrix.clone() }).collect()
+    };
+    // The key's first flush is served cold and factors the matrix.
+    worker.serve(&against(2, 6), key, "cpu-thomas");
+    for (count, seed) in [(8, 7), (64, 8)] {
+        worker.serve(&against(count, seed), key, "cpu-warm");
+    }
+    let small = worker.serve(&against(8, 9), key, "cpu-warm");
+    let large = worker.serve(&against(64, 10), key, "cpu-warm");
+    assert_eq!(large, small, "serving 64 requests must cost what serving 8 does");
+}
+
+#[test]
+fn submit_allocates_the_matrix_arc_and_the_ticket_slot_only() {
+    let service: SolverService<f32> =
+        SolverService::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+    let mut generator = Generator::new(7);
+    // Warm-up: grow the admission queue to hold a full bucket.
+    let tickets: Vec<_> = (0..64)
+        .map(|_| service.submit(generator.system(Workload::DiagonallyDominant, N)).unwrap())
+        .collect();
+    tickets.into_iter().for_each(|t| drop(t.wait()));
+    for _ in 0..8 {
+        let system = generator.system(Workload::DiagonallyDominant, N);
+        let (ticket, counts) = counted(|| service.submit(system).unwrap());
+        assert_eq!(counts, Counts { allocs: 2, frees: 0 }, "one matrix Arc, one ticket slot");
+        assert!(ticket.wait().residual < 1e-2);
+    }
+    service.shutdown();
+}

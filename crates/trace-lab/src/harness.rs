@@ -29,8 +29,8 @@ use gpu_solvers::GpuAlgorithm;
 use numeric_verify::CertifiedCatalog;
 use solver_service::{
     make_request_keyed, serve_flush, BreakerConfig, BucketTable, CircuitBreakers, DeviceCtx,
-    DispatchConfig, Engine, FlushedBatch, PlanCache, RejectReason, ServiceMetrics, SolveResponse,
-    Ticket, TraceEvent, TraceHandle,
+    DispatchConfig, Engine, FlushedBatch, PlanCache, RejectReason, ServiceMetrics, Ticket,
+    TraceEvent, TraceHandle,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -75,26 +75,57 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Emits the Flush event and serves the batch synchronously — the
-/// single-threaded analogue of `route_flush` + a worker pop.
-#[allow(clippy::too_many_arguments)]
-fn serve_one(
-    flush: FlushedBatch<f32>,
-    launcher: &Launcher,
-    plans: &PlanCache,
-    breakers: &CircuitBreakers,
-    metrics: &ServiceMetrics,
-    cfg: &DispatchConfig,
-    trace: &TraceHandle,
-    clock: &Clock,
-) {
-    trace.emit(|| TraceEvent::Flush {
-        at: clock.now(),
-        n: flush.n as u64,
-        occupancy: flush.requests.len() as u64,
-        reason: flush.reason,
-    });
-    serve_flush(DeviceCtx::solo(launcher), plans, breakers, metrics, cfg, flush);
+/// The serving half of one run: what `serve_flush` needs, the tickets of
+/// admitted requests still unserved, and the tallies of those served.
+struct Server {
+    launcher: Launcher,
+    plans: PlanCache,
+    breakers: CircuitBreakers,
+    metrics: ServiceMetrics,
+    cfg: DispatchConfig,
+    /// Indexed by request id; taken when the request's flush is served.
+    tickets: Vec<Option<Ticket<f32>>>,
+    /// Indexed by request id, so in submission order.
+    latencies_ns: Vec<u64>,
+    wrong: u64,
+    repairs: u64,
+}
+
+impl Server {
+    /// Holds `ticket` until its request is served.
+    fn admit(&mut self, ticket: Ticket<f32>) {
+        debug_assert_eq!(ticket.id(), self.tickets.len() as u64, "ids are dense");
+        self.tickets.push(Some(ticket));
+        self.latencies_ns.push(0);
+    }
+
+    /// Emits the Flush event and serves the batch synchronously — the
+    /// single-threaded analogue of `route_flush` + a worker pop — then
+    /// takes its responses at once, so no answer (nor the matrix it holds)
+    /// outlives its flush.
+    fn serve(&mut self, flush: FlushedBatch<f32>) {
+        let cfg = &self.cfg;
+        cfg.trace.emit(|| TraceEvent::Flush {
+            at: cfg.clock.now(),
+            n: flush.n as u64,
+            occupancy: flush.requests.len() as u64,
+            reason: flush.reason,
+        });
+        let ids: Vec<usize> = flush.requests.iter().map(|r| r.id as usize).collect();
+        let device = DeviceCtx::solo(&self.launcher);
+        serve_flush(device, &self.plans, &self.breakers, &self.metrics, cfg, flush);
+        for id in ids {
+            let response = self.tickets[id]
+                .take()
+                .and_then(|ticket| ticket.try_take())
+                .expect("single-threaded serve fulfills every admitted ticket, once");
+            self.latencies_ns[id] = response.latency.as_nanos().min(u64::MAX as u128) as u64;
+            if !response.residual.is_finite() || response.residual >= RESIDUAL_BOUND {
+                self.wrong += 1;
+            }
+            self.repairs += u64::from(response.repaired);
+        }
+    }
 }
 
 /// Runs `scenario` to completion and returns the decision stream + stats.
@@ -111,26 +142,32 @@ pub fn run(scenario: &Scenario) -> RunOutput {
         scenario.launch_fault_ppm as f64 / 1e6,
         scenario.bit_flip_ppm as f64 / 1e6,
     );
-    let launcher = Launcher::gtx280().with_fault_plan(Arc::new(FaultPlan::new(fault_cfg)));
-    let plans = PlanCache::new();
-    let breakers = CircuitBreakers::with_clock(BreakerConfig::default(), clock.clone())
-        .with_trace(trace.clone());
-    let metrics = ServiceMetrics::new();
     let factor_cache = (scenario.matrix_pool > 0)
         .then(|| Arc::new(SharedFactorCache::new(scenario.matrix_pool.max(1) as usize * 8)));
     let certified = (scenario.certify > 0)
         .then(|| Arc::new(CertifiedCatalog::with_sample_period(scenario.certify as usize)));
-    let cfg = DispatchConfig {
-        min_gpu_batch: scenario.min_gpu_batch.max(1) as usize,
-        pin_engine: (scenario.pin_cr_pcr_m > 0)
-            .then_some(Engine::Gpu(GpuAlgorithm::CrPcr { m: scenario.pin_cr_pcr_m as usize })),
-        // The sanitizer is its own CI gate; lab runs skip its overhead.
-        sanitize_first_flush: false,
-        clock: clock.clone(),
-        trace: trace.clone(),
-        factor_cache: factor_cache.clone(),
-        certified: certified.clone(),
-        ..DispatchConfig::default()
+    let mut server = Server {
+        launcher: Launcher::gtx280().with_fault_plan(Arc::new(FaultPlan::new(fault_cfg))),
+        plans: PlanCache::new(),
+        breakers: CircuitBreakers::with_clock(BreakerConfig::default(), clock.clone())
+            .with_trace(trace.clone()),
+        metrics: ServiceMetrics::new(),
+        cfg: DispatchConfig {
+            min_gpu_batch: scenario.min_gpu_batch.max(1) as usize,
+            pin_engine: (scenario.pin_cr_pcr_m > 0)
+                .then_some(Engine::Gpu(GpuAlgorithm::CrPcr { m: scenario.pin_cr_pcr_m as usize })),
+            // The sanitizer is its own CI gate; lab runs skip its overhead.
+            sanitize_first_flush: false,
+            clock: clock.clone(),
+            trace: trace.clone(),
+            factor_cache,
+            certified,
+            ..DispatchConfig::default()
+        },
+        tickets: Vec::new(),
+        latencies_ns: Vec::new(),
+        wrong: 0,
+        repairs: 0,
     };
 
     let mut table: BucketTable<f32> = BucketTable::new(
@@ -150,7 +187,6 @@ pub fn run(scenario: &Scenario) -> RunOutput {
     // in index order.
     let arrivals: Vec<Tick> = (0..scenario.requests).map(|i| scenario.arrival_tick(i)).collect();
 
-    let mut tickets: Vec<Ticket<f32>> = Vec::new();
     let mut rejected = 0u64;
     let mut next_id = 0u64;
     let mut i = 0usize;
@@ -166,7 +202,7 @@ pub fn run(scenario: &Scenario) -> RunOutput {
 
         // Rule 1: due flushes fire before arrivals at the same tick.
         for flush in table.flush_expired(clock.now()) {
-            serve_one(flush, &launcher, &plans, &breakers, &metrics, &cfg, &trace, &clock);
+            server.serve(flush);
         }
 
         // Rules 2–3: admit every arrival now due, serving any full-bucket
@@ -209,9 +245,9 @@ pub fn run(scenario: &Scenario) -> RunOutput {
                 next_id += 1;
                 trace.emit(|| TraceEvent::Admit { at, id, n: n as u64 });
                 let (request, ticket) = make_request_keyed(id, system, at, None, matrix_key);
-                tickets.push(ticket);
+                server.admit(ticket);
                 if let Some(flush) = table.insert(request, at) {
-                    serve_one(flush, &launcher, &plans, &breakers, &metrics, &cfg, &trace, &clock);
+                    server.serve(flush);
                 }
             }
             i += 1;
@@ -220,28 +256,16 @@ pub fn run(scenario: &Scenario) -> RunOutput {
 
     // Rule 4: shutdown drain, ascending size order.
     for flush in table.flush_all() {
-        serve_one(flush, &launcher, &plans, &breakers, &metrics, &cfg, &trace, &clock);
+        server.serve(flush);
     }
-
-    let mut latencies_ns = Vec::with_capacity(tickets.len());
-    let mut wrong = 0u64;
-    let mut repairs = 0u64;
-    for ticket in tickets {
-        let response: SolveResponse<f32> =
-            ticket.try_take().expect("single-threaded serve fulfills every admitted ticket");
-        latencies_ns.push(response.latency.as_nanos().min(u64::MAX as u128) as u64);
-        if !response.residual.is_finite() || response.residual >= RESIDUAL_BOUND {
-            wrong += 1;
-        }
-        repairs += u64::from(response.repaired);
-    }
+    debug_assert!(server.tickets.iter().all(Option::is_none), "every admitted request served");
 
     let stats = RunStats {
-        served: latencies_ns.len() as u64,
+        served: server.latencies_ns.len() as u64,
         rejected,
-        latencies_ns,
-        wrong,
-        repairs,
+        latencies_ns: server.latencies_ns,
+        wrong: server.wrong,
+        repairs: server.repairs,
         final_tick: clock.now(),
     };
     RunOutput { events: sink.take(), stats }

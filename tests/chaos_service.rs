@@ -511,7 +511,7 @@ fn poisoned_warm_flush_is_repaired_and_the_entry_invalidated() {
                     r.residual,
                     r.engine
                 );
-                r.engine
+                r.engine.to_string()
             })
             .collect()
     };
