@@ -24,11 +24,12 @@
 //! any answer in either mode escapes the acceptance bound.
 
 use crate::factor::{serve_pooled, PooledRun, BATCH, SIZES};
-use crate::gate::{Gate, RESIDUAL_BOUND};
+use crate::gate::Gate;
 use crate::report::Table;
 use numeric_verify::CertifiedCatalog;
 use solver_service::DispatchConfig;
 use std::sync::Arc;
+use tridiag_core::residual::RESIDUAL_BOUND;
 use tridiag_core::{Generator, MatrixKey, TridiagonalSystem, Workload};
 
 /// Sampling period the certified mode runs (1-in-K residual checks).

@@ -16,13 +16,14 @@
 //! faults may cost latency and degrade flushes to the CPU safety net, but
 //! never correctness.
 
-use crate::gate::{Gate, Scorer, RESIDUAL_BOUND};
+use crate::gate::{wait_all, Gate};
 use crate::report::Table;
 use gpu_sim::{FaultConfig, FaultPlan, FaultStats, Launcher};
 use gpu_solvers::GpuAlgorithm;
 use solver_service::{Engine, ServiceConfig, ServiceError, SolverService, Ticket};
 use std::sync::Arc;
 use std::time::Duration;
+use tridiag_core::residual::RESIDUAL_BOUND;
 use tridiag_core::{Generator, TridiagonalSystem, Workload};
 
 /// System sizes the stream mixes — same range as the serving experiment.
@@ -162,7 +163,7 @@ fn drive(seed: u64, cell: &Cell, total: usize) -> CellOutcome {
             None => shed += 1,
         }
     }
-    let wrong = Scorer::wait_all(sent).wrong;
+    let wrong = wait_all(sent).wrong;
     let snapshot = service.shutdown();
     let deg = &snapshot.degradation;
     CellOutcome {

@@ -38,7 +38,7 @@ use crate::pool::{check_partitioned, PartitionCheck};
 use crate::report::Table;
 use cluster::{
     node_key, run_cluster_service, BlockedWindow, ClusterConfig, ClusterServiceConfig,
-    ClusterWorkload, CrashWindow, NetFaultConfig, PeerState,
+    ClusterWorkload, CrashWindow, NetFaultConfig, PeerState, COORDINATOR,
 };
 use gpu_sim::FaultConfig;
 use gpu_solvers::{solve_partitioned, GpuAlgorithm};
@@ -156,7 +156,7 @@ fn drive_scaling(nodes: usize, cycles: usize) -> ScalingCell {
     let mut cfg = ClusterConfig::new(nodes, DEVICES_PER_NODE);
     cfg.vnodes = SCALING_VNODES;
     let mut cluster = cfg.build();
-    let svc = ClusterServiceConfig { pin_engine: Some(scaling_pin()), ..Default::default() };
+    let svc = ClusterServiceConfig { pin_engine: Some(scaling_pin()) };
     let stats = run_cluster_service(&mut cluster, &svc, &scaling_workload(cycles));
     let makespan_ms = cluster_makespan_ms(&cluster);
     ScalingCell {
@@ -203,10 +203,9 @@ fn drive_kill(requests: usize) -> KillOutcome {
     let mut cluster = cfg.build();
     let svc = ClusterServiceConfig::default();
     let stats = run_cluster_service(&mut cluster, &svc, &failover_workload(requests));
-    let coordinator = svc.coordinator;
-    let survivors_closed = (0..GATE_NODES).filter(|&j| j != DEAD && j != coordinator).all(|j| {
-        cluster.node(coordinator).peer_breakers.state(&node_key(j)) != BreakerState::Open
-            && cluster.gossip().view(coordinator, j) == PeerState::Alive
+    let survivors_closed = (0..GATE_NODES).filter(|&j| j != DEAD && j != COORDINATOR).all(|j| {
+        cluster.node(COORDINATOR).peer_breakers.state(&node_key(j)) != BreakerState::Open
+            && cluster.gossip().view(COORDINATOR, j) == PeerState::Alive
     });
     KillOutcome {
         offered: stats.offered,
@@ -221,9 +220,9 @@ fn drive_kill(requests: usize) -> KillOutcome {
         // The breaker trips Open at the kill and must never re-Close; by
         // run end the cooldown may have lapsed it to HalfOpen (probing),
         // so the gate is "not Closed" plus the gossip verdict Dead.
-        dead_isolated: cluster.node(coordinator).peer_breakers.state(&node_key(DEAD))
+        dead_isolated: cluster.node(COORDINATOR).peer_breakers.state(&node_key(DEAD))
             != BreakerState::Closed
-            && cluster.gossip().view(coordinator, DEAD) == PeerState::Dead,
+            && cluster.gossip().view(COORDINATOR, DEAD) == PeerState::Dead,
         survivors_closed,
         availability: stats.completed as f64 / stats.offered.max(1) as f64,
     }

@@ -16,7 +16,7 @@
 //! iff the warm speedup drops below the checked-in floor, the hit rate
 //! collapses, or any answer in either mode escapes the verify bound.
 
-use crate::gate::{Gate, Scorer, RESIDUAL_BOUND};
+use crate::gate::Gate;
 use crate::report::Table;
 use factor_cache::SharedFactorCache;
 use gpu_sim::{Clock, Launcher};
@@ -25,6 +25,7 @@ use solver_service::{
     FlushReason, FlushedBatch, MetricsSnapshot, PlanCache, ServiceMetrics, Ticket,
 };
 use std::sync::Arc;
+use tridiag_core::residual::{Scorer, RESIDUAL_BOUND};
 use tridiag_core::{Generator, MatrixKey, TridiagonalSystem, Workload};
 
 /// System sizes the stream mixes — one pooled matrix per size.
@@ -106,7 +107,8 @@ pub(crate) fn serve_pooled(
 
     let mut scorer = Scorer::default();
     for (system, ticket) in sent {
-        scorer.score(&system, &ticket.try_take().expect("synchronous serve fulfils every ticket"));
+        scorer
+            .score(&system, &ticket.try_take().expect("synchronous serve fulfils every ticket").x);
     }
 
     let snap = metrics.snapshot(0, plans.tunes(), plans.hits());

@@ -42,10 +42,10 @@
 //! when any was, [`EXIT_USAGE`] (2) for a malformed invocation.
 
 use crate::cli::{self, GateArgs, EXIT_GATE_FAIL, EXIT_PASS};
-use solver_service::{SolveResponse, Ticket};
+use solver_service::Ticket;
 use std::fmt::{Display, Write as _};
 use std::path::{Path, PathBuf};
-use tridiag_core::residual::l2_residual;
+use tridiag_core::residual::Scorer;
 use tridiag_core::TridiagonalSystem;
 
 #[cfg(doc)]
@@ -230,41 +230,14 @@ fn floor_clauses(row: &str, object: &str, measured: &[(&str, f64)]) -> Vec<Strin
     clauses
 }
 
-/// The wrong-answer rule every serving gate shares: an answer is wrong
-/// when its residual `‖Ax − d‖₂` is non-finite or at least this.
-pub const RESIDUAL_BOUND: f64 = 1e-2;
-
-/// Scores answers against the systems the gate sent, never against the
-/// residual the service reports: under a certificate skip that field is
-/// the certificate's a-priori bound, not a measurement.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct Scorer {
-    /// Answers whose recomputed residual is non-finite or ≥
-    /// [`RESIDUAL_BOUND`].
-    pub wrong: u64,
-    /// The largest finite recomputed residual.
-    pub max_residual: f64,
-}
-
-impl Scorer {
-    /// Recomputes `answer.x`'s residual against `sent` and counts it.
-    pub fn score(&mut self, sent: &TridiagonalSystem<f32>, answer: &SolveResponse<f32>) {
-        let residual = l2_residual(sent, &answer.x).unwrap_or(f64::NAN);
-        if !residual.is_finite() || residual >= RESIDUAL_BOUND {
-            self.wrong += 1;
-        }
-        self.max_residual = self.max_residual.max(residual);
+/// Waits for every ticket and scores its answer against the system sent
+/// with it.
+pub fn wait_all(sent: Vec<(TridiagonalSystem<f32>, Ticket<f32>)>) -> Scorer {
+    let mut scorer = Scorer::default();
+    for (system, ticket) in sent {
+        scorer.score(&system, &ticket.wait().x);
     }
-
-    /// Waits for every ticket and scores its answer against the system
-    /// sent with it.
-    pub fn wait_all(sent: Vec<(TridiagonalSystem<f32>, Ticket<f32>)>) -> Self {
-        let mut scorer = Self::default();
-        for (system, ticket) in sent {
-            scorer.score(&system, &ticket.wait());
-        }
-        scorer
-    }
+    scorer
 }
 
 /// The canonical output directory for gate artifacts:
@@ -455,43 +428,6 @@ mod tests {
                 ("max_wrong", "0")
             ]
         );
-    }
-
-    #[test]
-    fn the_scorer_recomputes_residuals_instead_of_trusting_the_response() {
-        let sent: TridiagonalSystem<f32> =
-            tridiag_core::Generator::new(3).system(tridiag_core::Workload::DiagonallyDominant, 64);
-        let x = cpu_solvers::thomas::solve(&sent).expect("dominant system");
-        let answer = |x: Vec<f32>| SolveResponse {
-            id: 0,
-            x,
-            matrix: std::sync::Arc::new(sent.clone().into_parts().0),
-            residual: 1e-9,
-            engine: "cpu-thomas".into(),
-            repaired: false,
-            batch_occupancy: 1,
-            latency: std::time::Duration::ZERO,
-            deadline_missed: false,
-        };
-        let mut scorer = Scorer::default();
-        scorer.score(&sent, &answer(x.clone()));
-        assert_eq!(scorer.wrong, 0);
-        assert!(scorer.max_residual > 0.0 && scorer.max_residual < 1e-4, "{scorer:?}");
-
-        // The response still claims 1e-9, but one entry of x is wrong.
-        let mut wrong_x = x.clone();
-        wrong_x[17] += 1.0;
-        scorer.score(&sent, &answer(wrong_x));
-        assert_eq!(scorer.wrong, 1);
-        assert!(scorer.max_residual >= RESIDUAL_BOUND);
-
-        // A non-finite answer is wrong and leaves the max finite.
-        let mut nan_x = x;
-        nan_x[0] = f32::NAN;
-        let before = scorer.max_residual;
-        scorer.score(&sent, &answer(nan_x));
-        assert_eq!(scorer.wrong, 2);
-        assert_eq!(scorer.max_residual, before);
     }
 
     #[test]

@@ -61,5 +61,8 @@ pub use gossip::{node_key, Gossip, GossipConfig, PeerState};
 pub use net::{BlockedWindow, CrashWindow, Delivery, LinkModel, NetFaultConfig, Network};
 pub use node::ClusterNode;
 pub use ring::HashRing;
-pub use service::{run_cluster_service, ClusterRunStats, ClusterServiceConfig, ClusterWorkload};
+pub use service::{
+    run_cluster_service, ClusterRunStats, ClusterServiceConfig, ClusterSink, ClusterWorkload,
+    COORDINATOR,
+};
 pub use solve::Coordinator;

@@ -323,11 +323,12 @@ mod tests {
     fn member_deadline_pulls_the_flush_forward_and_labels_it() {
         let mut table =
             BucketTable::new(64, Duration::from_millis(10)).with_deadline_slack(Duration::ZERO);
-        let (req_d, _ticket) = crate::request::make_request_at(
+        let (req_d, _ticket) = crate::request::make_request_keyed(
             0,
             TridiagonalSystem::toeplitz(32, -1.0, 4.0, -1.0, 1.0).unwrap(),
             0,
             Some(ms(4)),
+            None,
         );
         table.insert(req_d, 0);
         assert_eq!(table.next_deadline(), Some(ms(4)), "deadline beats the 10 ms linger");

@@ -184,6 +184,14 @@ impl<'a> DeviceCtx<'a> {
         Self { launcher, device_id: 0, pool: None }
     }
 
+    /// The device `pool.route(n)` picks for a flush of size `n`, or device
+    /// 0 once every device is lost (its launches then fail, and
+    /// `serve_flush` degrades the flush to the CPU safety net).
+    pub fn routed(pool: &'a DevicePool, n: usize) -> Self {
+        let device_id = pool.route(n).unwrap_or(0);
+        Self { launcher: &pool.device(device_id).launcher, device_id, pool: Some(pool) }
+    }
+
     /// The per-device breaker key for `engine_label`.
     fn breaker_key(&self, engine_label: &str) -> String {
         format!("dev{}:{engine_label}", self.device_id)
@@ -2022,7 +2030,7 @@ mod tests {
         // A deadline of tick 1 on the config's clock is long past by the
         // time the flush is served: flagged as missed, still answered.
         let system: TridiagonalSystem<f32> = generator.system(Workload::DiagonallyDominant, 64);
-        let (req, ticket) = crate::request::make_request_with_deadline(0, system, Some(1));
+        let (req, ticket) = crate::request::make_request_keyed(0, system, 0, Some(1), None);
         let flush = FlushedBatch { n: 64, requests: vec![req], reason: FlushReason::Deadline };
         serve_flush(DeviceCtx::solo(&launcher), &plans, &breakers, &metrics, &cfg(), flush);
         let resp = ticket.try_take().expect("missed deadlines still get answers");

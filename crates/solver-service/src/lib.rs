@@ -64,6 +64,7 @@
 pub mod batcher;
 pub mod breaker;
 pub mod dispatch;
+pub mod driver;
 pub mod error;
 pub mod metrics;
 pub mod planner;
@@ -75,15 +76,13 @@ pub mod trace;
 pub use batcher::{BucketTable, FlushReason, FlushedBatch};
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreakers};
 pub use dispatch::{serve_flush, DeviceCtx, DispatchConfig};
+pub use driver::{drive, Arrival, Sink, Tally};
 pub use error::ServiceError;
 pub use metrics::{DegradationState, DeviceSnapshot, MetricsSnapshot, ServiceMetrics};
 pub use planner::{
     autotune, autotune_ranked, autotune_ranked_on, CpuEngine, Engine, Plan, PlanCache,
 };
 pub use queue::{BoundedQueue, Pop, PushError};
-pub use request::{
-    make_request, make_request_at, make_request_keyed, make_request_with_deadline, SolveRequest,
-    SolveResponse, Ticket,
-};
+pub use request::{make_request, make_request_keyed, SolveRequest, SolveResponse, Ticket};
 pub use service::{ServiceConfig, SolverService};
 pub use trace::{RejectReason, TraceEvent, TraceHandle, TraceSink};

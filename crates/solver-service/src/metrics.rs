@@ -1,8 +1,8 @@
 //! Service observability: counters, histograms, and a serializable report.
 //!
 //! The hot path touches only atomics and two small maps behind short-held
-//! mutexes (dispatch counts keyed by engine, occupancy keyed by batch
-//! size). [`MetricsSnapshot`] is a cheap, consistent-enough copy for
+//! mutexes (dispatch counts and engine time keyed by engine, occupancy
+//! keyed by batch size). [`MetricsSnapshot`] is a cheap, consistent-enough copy for
 //! dashboards and tests; `to_json` is hand-rolled because the build is
 //! offline and the in-tree `serde` shim provides derives but no
 //! serializer.
@@ -86,11 +86,11 @@ pub struct ServiceMetrics {
     latency_us: [AtomicU64; LATENCY_BUCKETS],
     /// batch size → systems served in batches of that size.
     occupancy: Mutex<BTreeMap<usize, u64>>,
-    /// engine spelling → systems served on that engine.
-    dispatch: Mutex<BTreeMap<String, u64>>,
-    /// engine spelling → engine milliseconds consumed (simulated device
-    /// time for GPU engines, wall-clock for CPU engines).
-    engine_ms: Mutex<BTreeMap<String, f64>>,
+    /// engine spelling → (systems served on that engine, engine
+    /// milliseconds consumed: simulated device time for GPU engines,
+    /// wall-clock for CPU engines). Looked up by `&str`, so only an
+    /// engine's first flush allocates its key.
+    engines: Mutex<BTreeMap<String, (u64, f64)>>,
 }
 
 impl Default for ServiceMetrics {
@@ -131,8 +131,7 @@ impl ServiceMetrics {
             certs_revoked: AtomicU64::new(0),
             latency_us: core::array::from_fn(|_| AtomicU64::new(0)),
             occupancy: Mutex::new(BTreeMap::new()),
-            dispatch: Mutex::new(BTreeMap::new()),
-            engine_ms: Mutex::new(BTreeMap::new()),
+            engines: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -168,18 +167,15 @@ impl ServiceMetrics {
         self.repaired.fetch_add(repairs as u64, Ordering::Relaxed);
         *self.occupancy.lock().unwrap_or_else(|p| p.into_inner()).entry(occupancy).or_insert(0) +=
             occupancy as u64;
-        *self
-            .dispatch
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .entry(engine.to_string())
-            .or_insert(0) += occupancy as u64;
-        *self
-            .engine_ms
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .entry(engine.to_string())
-            .or_insert(0.0) += engine_ms;
+        let add = |totals: &mut (u64, f64)| {
+            totals.0 += occupancy as u64;
+            totals.1 += engine_ms;
+        };
+        let mut engines = self.engines.lock().unwrap_or_else(|p| p.into_inner());
+        match engines.get_mut(engine) {
+            Some(totals) => add(totals),
+            None => add(engines.entry(engine.to_string()).or_default()),
+        }
     }
 
     /// Degradation accounting for one served flush: `retries` engine
@@ -290,6 +286,7 @@ impl ServiceMetrics {
     /// instantaneous gauges.
     pub fn snapshot(&self, queue_depth: usize, plan_tunes: u64, plan_hits: u64) -> MetricsSnapshot {
         let latency: Vec<u64> = self.latency_us.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        let engines = self.engines.lock().unwrap_or_else(|p| p.into_inner());
         MetricsSnapshot {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
@@ -330,8 +327,11 @@ impl ServiceMetrics {
             latency_p95_us: percentile_us(&latency, 0.95),
             latency_p99_us: percentile_us(&latency, 0.99),
             occupancy_systems: self.occupancy.lock().unwrap_or_else(|p| p.into_inner()).clone(),
-            dispatch_systems: self.dispatch.lock().unwrap_or_else(|p| p.into_inner()).clone(),
-            engine_ms: self.engine_ms.lock().unwrap_or_else(|p| p.into_inner()).clone(),
+            dispatch_systems: engines
+                .iter()
+                .map(|(e, &(systems, _))| (e.clone(), systems))
+                .collect(),
+            engine_ms: engines.iter().map(|(e, &(_, ms))| (e.clone(), ms)).collect(),
             devices: Vec::new(),
         }
     }

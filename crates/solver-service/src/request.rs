@@ -73,6 +73,27 @@ impl<T: Real> SolveRequest<T> {
     pub fn n(&self) -> usize {
         self.matrix.n()
     }
+
+    /// A copy of this request for one more attempt at serving it: the same
+    /// id, submit tick, deadline, key and matrix `Arc`, a copy of `d`, and
+    /// a fresh ticket. A caller that may serve a request more than once (a
+    /// cluster retrying an RPC whose response was lost) serves copies, and
+    /// hands the answer it keeps to the original with [`Self::answer`].
+    pub fn attempt(&self) -> (SolveRequest<T>, Ticket<T>) {
+        request_for(
+            self.id,
+            Arc::clone(&self.matrix),
+            self.d.clone(),
+            self.submitted_at,
+            self.deadline,
+            self.matrix_key,
+        )
+    }
+
+    /// Puts `response` in this request's ticket.
+    pub fn answer(self, response: SolveResponse<T>) {
+        self.slot.put(response);
+    }
 }
 
 /// The answer to one [`SolveRequest`].
@@ -199,36 +220,14 @@ pub fn make_request<T: Real>(
     id: u64,
     system: TridiagonalSystem<T>,
 ) -> (SolveRequest<T>, Ticket<T>) {
-    make_request_at(id, system, 0, None)
+    make_request_keyed(id, system, 0, None, None)
 }
 
-/// [`make_request`] with an absolute completion deadline (on the service
-/// clock). The deadline is advisory: the batcher flushes early to try to
-/// meet it, and the response reports whether it was met — the request is
-/// never dropped.
-pub fn make_request_with_deadline<T: Real>(
-    id: u64,
-    system: TridiagonalSystem<T>,
-    deadline: Option<Tick>,
-) -> (SolveRequest<T>, Ticket<T>) {
-    make_request_at(id, system, 0, deadline)
-}
-
-/// Builds a paired request + ticket with an explicit submission tick and
-/// optional deadline — the fully general constructor the service (and the
-/// trace-lab replay harness) use.
-pub fn make_request_at<T: Real>(
-    id: u64,
-    system: TridiagonalSystem<T>,
-    submitted_at: Tick,
-    deadline: Option<Tick>,
-) -> (SolveRequest<T>, Ticket<T>) {
-    make_request_keyed(id, system, submitted_at, deadline, None)
-}
-
-/// [`make_request_at`] with an explicit matrix identity — the constructor
-/// the warm serving tier uses so every request in a multi-RHS submission
-/// carries the key computed once for the shared matrix.
+/// [`make_request`] with an explicit submission tick, an optional
+/// completion deadline (on the service clock; advisory: the batcher
+/// flushes early to try to meet it, and the response reports whether it
+/// was met) and an optional matrix identity, which every request of a
+/// multi-RHS submission carries, computed once for the shared matrix.
 pub fn make_request_keyed<T: Real>(
     id: u64,
     system: TridiagonalSystem<T>,
@@ -292,9 +291,7 @@ mod tests {
     fn deadline_rides_the_request() {
         let (req, _ticket) = make_request(0, sys());
         assert!(req.deadline.is_none(), "plain requests carry no deadline");
-        let (req, _ticket) = make_request_with_deadline(1, sys(), Some(3_000_000));
-        assert_eq!(req.deadline, Some(3_000_000));
-        let (req, _ticket) = make_request_at(2, sys(), 1_000, Some(5_000));
+        let (req, _ticket) = make_request_keyed(2, sys(), 1_000, Some(5_000), None);
         assert_eq!(req.submitted_at, 1_000);
         assert_eq!(req.deadline, Some(5_000));
     }

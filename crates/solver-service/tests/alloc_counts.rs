@@ -199,6 +199,19 @@ fn a_warm_flush_allocates_the_same_at_any_occupancy() {
 }
 
 #[test]
+fn a_flush_on_an_engine_already_seen_allocates_nothing_in_the_metrics() {
+    let metrics = ServiceMetrics::new();
+    let flush = || metrics.on_batch_served("cpu-thomas", 64, FlushReason::Full, 1, 0.25);
+    let ((), first) = counted(flush);
+    assert!(first.allocs > 0, "the engine's first flush stores its label");
+    let ((), second) = counted(flush);
+    assert_eq!(second, Counts { allocs: 0, frees: 0 }, "a known engine's flush copies no label");
+    let snapshot = metrics.snapshot(0, 0, 0);
+    assert_eq!(snapshot.dispatch_systems["cpu-thomas"], 128);
+    assert_eq!(snapshot.engine_ms["cpu-thomas"], 0.5);
+}
+
+#[test]
 fn submit_allocates_the_matrix_arc_and_the_ticket_slot_only() {
     let service: SolverService<f32> =
         SolverService::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });

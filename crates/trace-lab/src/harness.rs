@@ -5,21 +5,14 @@
 //! The threaded [`solver_service::SolverService`] under a sim clock is
 //! de-flaked but not reproducible: OS scheduling still reorders events.
 //! This harness removes the last nondeterminism source by being the only
-//! thread: arrivals and linger deadlines are merged in tick order, flushes
-//! are served synchronously, and the clock only moves where the event loop
-//! (or `serve_flush`'s modeled engine time) moves it. The resulting event
-//! stream — values *and* timestamps — is a pure function of the
+//! thread: it runs the scenario's arrivals through
+//! [`solver_service::drive`], which merges them with linger deadlines in
+//! tick order under fixed tie-break rules and serves each flush
+//! synchronously on one launcher, and the clock only moves where the
+//! driver (or `serve_flush`'s modeled engine time) moves it. The resulting
+//! event stream — values *and* timestamps — is a pure function of the
 //! [`Scenario`], which is what makes bit-identical replay possible (the
 //! invariant DESIGN.md §10 states precisely).
-//!
-//! Tie-break rules, fixed forever (changing any of these invalidates old
-//! traces):
-//! 1. at a given tick, due linger/deadline flushes fire before arrivals;
-//! 2. arrivals are admitted in index order;
-//! 3. a flush triggered by an insert (bucket full) is served immediately,
-//!    before the next arrival is considered;
-//! 4. shutdown drains buckets in ascending size order (the bucket table's
-//!    iteration order).
 
 use crate::record::RecordingSink;
 use crate::scenario::Scenario;
@@ -28,9 +21,8 @@ use gpu_sim::{Clock, FaultConfig, FaultPlan, Launcher, Tick};
 use gpu_solvers::GpuAlgorithm;
 use numeric_verify::CertifiedCatalog;
 use solver_service::{
-    make_request_keyed, serve_flush, BreakerConfig, BucketTable, CircuitBreakers, DeviceCtx,
-    DispatchConfig, Engine, FlushedBatch, PlanCache, RejectReason, ServiceMetrics, Ticket,
-    TraceEvent, TraceHandle,
+    drive, serve_flush, Arrival, BreakerConfig, BucketTable, CircuitBreakers, DeviceCtx,
+    DispatchConfig, Engine, FlushedBatch, PlanCache, ServiceMetrics, TraceEvent, TraceHandle,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -47,7 +39,8 @@ pub struct RunStats {
     /// Per-served-request virtual latency (submit → fulfilled), ns,
     /// in submission order.
     pub latencies_ns: Vec<u64>,
-    /// Responses that escaped the verify bound (must stay 0).
+    /// Answers whose residual, recomputed against the system sent, is
+    /// non-finite or at least the scorer's bound (must stay 0).
     pub wrong: u64,
     /// Systems the verify step re-solved with GEP.
     pub repairs: u64,
@@ -64,68 +57,12 @@ pub struct RunOutput {
     pub stats: RunStats,
 }
 
-/// Residual bound a served f32 answer must beat to count as correct.
-const RESIDUAL_BOUND: f64 = 1e-2;
-
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// The serving half of one run: what `serve_flush` needs, the tickets of
-/// admitted requests still unserved, and the tallies of those served.
-struct Server {
-    launcher: Launcher,
-    plans: PlanCache,
-    breakers: CircuitBreakers,
-    metrics: ServiceMetrics,
-    cfg: DispatchConfig,
-    /// Indexed by request id; taken when the request's flush is served.
-    tickets: Vec<Option<Ticket<f32>>>,
-    /// Indexed by request id, so in submission order.
-    latencies_ns: Vec<u64>,
-    wrong: u64,
-    repairs: u64,
-}
-
-impl Server {
-    /// Holds `ticket` until its request is served.
-    fn admit(&mut self, ticket: Ticket<f32>) {
-        debug_assert_eq!(ticket.id(), self.tickets.len() as u64, "ids are dense");
-        self.tickets.push(Some(ticket));
-        self.latencies_ns.push(0);
-    }
-
-    /// Emits the Flush event and serves the batch synchronously — the
-    /// single-threaded analogue of `route_flush` + a worker pop — then
-    /// takes its responses at once, so no answer (nor the matrix it holds)
-    /// outlives its flush.
-    fn serve(&mut self, flush: FlushedBatch<f32>) {
-        let cfg = &self.cfg;
-        cfg.trace.emit(|| TraceEvent::Flush {
-            at: cfg.clock.now(),
-            n: flush.n as u64,
-            occupancy: flush.requests.len() as u64,
-            reason: flush.reason,
-        });
-        let ids: Vec<usize> = flush.requests.iter().map(|r| r.id as usize).collect();
-        let device = DeviceCtx::solo(&self.launcher);
-        serve_flush(device, &self.plans, &self.breakers, &self.metrics, cfg, flush);
-        for id in ids {
-            let response = self.tickets[id]
-                .take()
-                .and_then(|ticket| ticket.try_take())
-                .expect("single-threaded serve fulfills every admitted ticket, once");
-            self.latencies_ns[id] = response.latency.as_nanos().min(u64::MAX as u128) as u64;
-            if !response.residual.is_finite() || response.residual >= RESIDUAL_BOUND {
-                self.wrong += 1;
-            }
-            self.repairs += u64::from(response.repaired);
-        }
-    }
 }
 
 /// Runs `scenario` to completion and returns the decision stream + stats.
@@ -142,130 +79,74 @@ pub fn run(scenario: &Scenario) -> RunOutput {
         scenario.launch_fault_ppm as f64 / 1e6,
         scenario.bit_flip_ppm as f64 / 1e6,
     );
-    let factor_cache = (scenario.matrix_pool > 0)
-        .then(|| Arc::new(SharedFactorCache::new(scenario.matrix_pool.max(1) as usize * 8)));
-    let certified = (scenario.certify > 0)
-        .then(|| Arc::new(CertifiedCatalog::with_sample_period(scenario.certify as usize)));
-    let mut server = Server {
-        launcher: Launcher::gtx280().with_fault_plan(Arc::new(FaultPlan::new(fault_cfg))),
-        plans: PlanCache::new(),
-        breakers: CircuitBreakers::with_clock(BreakerConfig::default(), clock.clone())
-            .with_trace(trace.clone()),
-        metrics: ServiceMetrics::new(),
-        cfg: DispatchConfig {
-            min_gpu_batch: scenario.min_gpu_batch.max(1) as usize,
-            pin_engine: (scenario.pin_cr_pcr_m > 0)
-                .then_some(Engine::Gpu(GpuAlgorithm::CrPcr { m: scenario.pin_cr_pcr_m as usize })),
-            // The sanitizer is its own CI gate; lab runs skip its overhead.
-            sanitize_first_flush: false,
-            clock: clock.clone(),
-            trace: trace.clone(),
-            factor_cache,
-            certified,
-            ..DispatchConfig::default()
-        },
-        tickets: Vec::new(),
-        latencies_ns: Vec::new(),
-        wrong: 0,
-        repairs: 0,
+    let launcher = Launcher::gtx280().with_fault_plan(Arc::new(FaultPlan::new(fault_cfg)));
+    let plans = PlanCache::new();
+    let breakers = CircuitBreakers::with_clock(BreakerConfig::default(), clock.clone())
+        .with_trace(trace.clone());
+    let metrics = ServiceMetrics::new();
+    let cfg = DispatchConfig {
+        min_gpu_batch: scenario.min_gpu_batch.max(1) as usize,
+        pin_engine: (scenario.pin_cr_pcr_m > 0)
+            .then_some(Engine::Gpu(GpuAlgorithm::CrPcr { m: scenario.pin_cr_pcr_m as usize })),
+        // The sanitizer is its own CI gate; lab runs skip its overhead.
+        sanitize_first_flush: false,
+        clock: clock.clone(),
+        trace: trace.clone(),
+        factor_cache: (scenario.matrix_pool > 0)
+            .then(|| Arc::new(SharedFactorCache::new(scenario.matrix_pool.max(1) as usize * 8))),
+        certified: (scenario.certify > 0)
+            .then(|| Arc::new(CertifiedCatalog::with_sample_period(scenario.certify as usize))),
+        ..DispatchConfig::default()
     };
 
-    let mut table: BucketTable<f32> = BucketTable::new(
-        scenario.target_batch.max(1) as usize,
-        Duration::from_micros(scenario.max_linger_us),
-    );
     let mut generator = Generator::new(scenario.seed);
     let mut size_rng = scenario.seed ^ 0x5A1E_D065;
-    let capacity = scenario.queue_capacity.max(1) as usize;
-
     // Pooled matrix templates, keyed `(n, slot)`. Populated lazily but
     // deterministically: template contents are a pure function of
     // `(seed, n, slot)`, independent of arrival order.
-    let mut pool: BTreeMap<(usize, u64), (TridiagonalSystem<f32>, MatrixKey)> = BTreeMap::new();
+    let mut pool = BTreeMap::new();
+    let next_arrival = |_| {
+        let n = scenario.sizes[(splitmix64(&mut size_rng) as usize) % scenario.sizes.len()].max(2)
+            as usize;
+        if scenario.matrix_pool == 0 {
+            return Arrival::from(generator.system::<f32>(Workload::DiagonallyDominant, n));
+        }
+        let slot = splitmix64(&mut size_rng) % scenario.matrix_pool;
+        let (template, key) = pool.entry((n, slot)).or_insert_with(|| {
+            let mut g =
+                Generator::new(scenario.seed ^ slot.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ n as u64);
+            let s: TridiagonalSystem<f32> = g.system(Workload::DiagonallyDominant, n);
+            let key = MatrixKey::of::<f32>(&s.a, &s.b, &s.c);
+            (Arc::new(s.into_parts().0), key)
+        });
+        // Fresh RHS per request, drawn from the sequential generator so
+        // the stream stays a pure function of the scenario.
+        let d = generator.system::<f32>(Workload::DiagonallyDominant, n).d;
+        Arrival { matrix: Arc::clone(template), d, key: Some(*key) }
+    };
 
-    // Arrival ticks are a pure function of the scenario; precompute them
-    // in index order.
+    // Arrival ticks are a pure function of the scenario.
     let arrivals: Vec<Tick> = (0..scenario.requests).map(|i| scenario.arrival_tick(i)).collect();
-
-    let mut rejected = 0u64;
-    let mut next_id = 0u64;
-    let mut i = 0usize;
-
-    while i < arrivals.len() || table.pending() > 0 {
-        let next = match (arrivals.get(i).copied(), table.next_deadline()) {
-            (Some(a), Some(d)) => a.min(d),
-            (Some(a), None) => a,
-            (None, Some(d)) => d,
-            (None, None) => break,
-        };
-        clock.advance_to(next);
-
-        // Rule 1: due flushes fire before arrivals at the same tick.
-        for flush in table.flush_expired(clock.now()) {
-            server.serve(flush);
-        }
-
-        // Rules 2–3: admit every arrival now due, serving any full-bucket
-        // flush before the next arrival. (Serving moves the clock, which
-        // can make further arrivals due — that's the single server being
-        // busy, and it is equally deterministic.)
-        while i < arrivals.len() && arrivals[i] <= clock.now() {
-            let n = scenario.sizes[(splitmix64(&mut size_rng) as usize) % scenario.sizes.len()]
-                .max(2) as usize;
-            let (system, matrix_key) = if scenario.matrix_pool > 0 {
-                let slot = splitmix64(&mut size_rng) % scenario.matrix_pool;
-                let (template, key) = pool.entry((n, slot)).or_insert_with(|| {
-                    let mut g = Generator::new(
-                        scenario.seed ^ slot.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ n as u64,
-                    );
-                    let s: TridiagonalSystem<f32> = g.system(Workload::DiagonallyDominant, n);
-                    let key = MatrixKey::of::<f32>(&s.a, &s.b, &s.c);
-                    (s, key)
-                });
-                // Fresh RHS per request, drawn from the sequential
-                // generator so the stream stays a pure function of the
-                // scenario.
-                let d = generator.system::<f32>(Workload::DiagonallyDominant, n).d;
-                let mut system = template.clone();
-                system.d = d;
-                (system, Some(*key))
-            } else {
-                (generator.system(Workload::DiagonallyDominant, n), None)
-            };
-            let at = clock.now();
-            if table.pending() >= capacity {
-                rejected += 1;
-                trace.emit(|| TraceEvent::Reject {
-                    at,
-                    n: n as u64,
-                    reason: RejectReason::QueueFull,
-                });
-            } else {
-                let id = next_id;
-                next_id += 1;
-                trace.emit(|| TraceEvent::Admit { at, id, n: n as u64 });
-                let (request, ticket) = make_request_keyed(id, system, at, None, matrix_key);
-                server.admit(ticket);
-                if let Some(flush) = table.insert(request, at) {
-                    server.serve(flush);
-                }
-            }
-            i += 1;
-        }
-    }
-
-    // Rule 4: shutdown drain, ascending size order.
-    for flush in table.flush_all() {
-        server.serve(flush);
-    }
-    debug_assert!(server.tickets.iter().all(Option::is_none), "every admitted request served");
-
+    let tally = drive(
+        &mut |flush: FlushedBatch<f32>| {
+            serve_flush(DeviceCtx::solo(&launcher), &plans, &breakers, &metrics, &cfg, flush)
+        },
+        BucketTable::new(
+            scenario.target_batch.max(1) as usize,
+            Duration::from_micros(scenario.max_linger_us),
+        ),
+        scenario.queue_capacity.max(1) as usize,
+        &arrivals,
+        next_arrival,
+        &clock,
+        &trace,
+    );
     let stats = RunStats {
-        served: server.latencies_ns.len() as u64,
-        rejected,
-        latencies_ns: server.latencies_ns,
-        wrong: server.wrong,
-        repairs: server.repairs,
+        served: tally.latencies_ns.len() as u64,
+        rejected: tally.rejected,
+        latencies_ns: tally.latencies_ns,
+        wrong: tally.wrong,
+        repairs: tally.repairs,
         final_tick: clock.now(),
     };
     RunOutput { events: sink.take(), stats }

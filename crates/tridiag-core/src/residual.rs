@@ -69,6 +69,35 @@ pub fn relative_l2_residual<'a, T: Real>(
     Ok(if den == 0.0 { num } else { num / den })
 }
 
+/// The wrong-answer rule every served-answer count shares: an answer is
+/// wrong when its residual `‖Ax − d‖₂` is non-finite or at least this.
+pub const RESIDUAL_BOUND: f64 = 1e-2;
+
+/// Counts wrong answers by recomputing each residual against the system
+/// that was sent, never by trusting the residual a solver or service
+/// reports (under a certificate skip that figure is an a-priori bound, not
+/// a measurement).
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+pub struct Scorer {
+    /// Answers whose recomputed residual is non-finite or ≥
+    /// [`RESIDUAL_BOUND`].
+    pub wrong: u64,
+    /// The largest finite recomputed residual.
+    pub max_residual: f64,
+}
+
+impl Scorer {
+    /// Recomputes the residual of `x` against `sent` and counts it. An
+    /// answer of the wrong length is wrong.
+    pub fn score<'a, T: Real>(&mut self, sent: impl Into<SystemRef<'a, T>>, x: &[T]) {
+        let residual = l2_residual(sent, x).unwrap_or(f64::NAN);
+        if !residual.is_finite() || residual >= RESIDUAL_BOUND {
+            self.wrong += 1;
+        }
+        self.max_residual = self.max_residual.max(residual);
+    }
+}
+
 /// Max absolute componentwise difference between two solutions.
 pub fn max_abs_diff<T: Real>(x: &[T], y: &[T]) -> f64 {
     assert_eq!(x.len(), y.len(), "solution length mismatch");
@@ -157,6 +186,26 @@ mod tests {
         let l2 = l2_residual(&s, &x).unwrap();
         assert!((l2 - (1.0f64 + 4.0).sqrt()).abs() < 1e-12);
         assert!((linf_residual(&s, &x).unwrap() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_scorer_recomputes_every_residual() {
+        let s = sys();
+        let mut scorer = Scorer::default();
+        scorer.score(&s, &[2.0, 3.0, 3.0, 2.0]);
+        assert_eq!(scorer.wrong, 0);
+        assert!(scorer.max_residual < 1e-12, "{scorer:?}");
+
+        // One entry off by one: residual √5, wrong.
+        scorer.score(&s, &[2.0, 3.0, 3.0, 3.0]);
+        assert_eq!(scorer.wrong, 1);
+        assert!((scorer.max_residual - 5.0f64.sqrt()).abs() < 1e-12);
+
+        // A non-finite or short answer is wrong and leaves the max finite.
+        scorer.score(&s, &[f64::NAN, 3.0, 3.0, 2.0]);
+        scorer.score(&s, &[2.0, 3.0]);
+        assert_eq!(scorer.wrong, 3);
+        assert!((scorer.max_residual - 5.0f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

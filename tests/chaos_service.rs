@@ -31,11 +31,8 @@ use solver_service::{
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
-use tridiag_core::residual::l2_residual;
+use tridiag_core::residual::{l2_residual, Scorer, RESIDUAL_BOUND};
 use tridiag_core::{Generator, MatrixKey, TridiagonalSystem, Workload};
-
-/// The acceptance bound the service property tests hold f32 responses to.
-const RESIDUAL_BOUND: f64 = 1e-2;
 
 fn faulty_launcher(cfg: FaultConfig) -> (Launcher, Arc<FaultPlan>) {
     let plan = Arc::new(FaultPlan::new(cfg));
@@ -483,15 +480,15 @@ fn poisoned_warm_flush_is_repaired_and_the_entry_invalidated() {
 
     let serve = |seed: u64| -> Vec<String> {
         let mut requests = Vec::new();
-        let mut tickets = Vec::new();
+        let mut sent = Vec::new();
         for i in 0..4u64 {
             let mut sys = system.clone();
             for (j, v) in sys.d.iter_mut().enumerate() {
                 *v = ((j as u64 * 31 + i * 7 + seed) % 17) as f32 - 8.0;
             }
-            let (req, ticket) = make_request_keyed(i, sys, 0, None, Some(key));
+            let (req, ticket) = make_request_keyed(i, sys.clone(), 0, None, Some(key));
             requests.push(req);
-            tickets.push(ticket);
+            sent.push((sys, ticket));
         }
         serve_flush(
             DeviceCtx::solo(&launcher),
@@ -501,19 +498,18 @@ fn poisoned_warm_flush_is_repaired_and_the_entry_invalidated() {
             &cfg,
             FlushedBatch { n: 64, requests, reason: FlushReason::Full },
         );
-        tickets
+        // Scored against the systems sent, not the residual reported.
+        let mut scorer = Scorer::default();
+        let engines: Vec<String> = sent
             .into_iter()
-            .map(|t| {
+            .map(|(sys, t)| {
                 let r = t.try_take().expect("synchronous serve");
-                assert!(
-                    r.residual < RESIDUAL_BOUND,
-                    "wrong answer escaped: {} on {}",
-                    r.residual,
-                    r.engine
-                );
+                scorer.score(&sys, &r.x);
                 r.engine.to_string()
             })
-            .collect()
+            .collect();
+        assert_eq!(scorer.wrong, 0, "wrong answer escaped ({scorer:?}) on {engines:?}");
+        engines
     };
 
     // Flush 1: miss → factored → served cold (the flip on the cold launch
@@ -555,7 +551,9 @@ fn poisoned_warm_flush_is_repaired_and_the_entry_invalidated() {
 /// caught — by a sampled verify or the always-on NaN guard — within K
 /// flushes of the first skip, the certificate is revoked, and from then
 /// on that key pays full verification forever (no re-certification, no
-/// further skips).
+/// further skips). Every answer is scored against the system sent: a
+/// skipped flush inside the window may serve a corrupted answer (that is
+/// the exposure `Skip` trades for its saving), no verified flush may.
 #[test]
 fn certified_bit_flip_is_caught_within_the_sampling_window_and_revokes() {
     const K: usize = 4;
@@ -585,17 +583,20 @@ fn certified_bit_flip_is_caught_within_the_sampling_window_and_revokes() {
     let system: TridiagonalSystem<f32> = generator.system(Workload::DiagonallyDominant, 64);
     let key = MatrixKey::of_system(&system);
 
-    let serve = |seed: u64| {
+    // Serves one flush of 4 and returns how many of its answers are
+    // wrong, and whether the flush skipped its verify.
+    let serve = |seed: u64| -> (u64, bool) {
+        let skipped_before = metrics.snapshot(0, plans.tunes(), plans.hits()).cert_skipped_verifies;
         let mut requests = Vec::new();
-        let mut tickets = Vec::new();
+        let mut sent = Vec::new();
         for i in 0..4u64 {
             let mut sys = system.clone();
             for (j, v) in sys.d.iter_mut().enumerate() {
                 *v = ((j as u64 * 31 + i * 7 + seed) % 17) as f32 - 8.0;
             }
-            let (req, ticket) = make_request_keyed(i, sys, 0, None, Some(key));
+            let (req, ticket) = make_request_keyed(i, sys.clone(), 0, None, Some(key));
             requests.push(req);
-            tickets.push(ticket);
+            sent.push((sys, ticket));
         }
         serve_flush(
             DeviceCtx::solo(&launcher),
@@ -605,21 +606,23 @@ fn certified_bit_flip_is_caught_within_the_sampling_window_and_revokes() {
             &cfg,
             FlushedBatch { n: 64, requests, reason: FlushReason::Full },
         );
-        for t in tickets {
+        // Under a certificate skip the reported residual is the a-priori
+        // bound, so every answer is scored against the system sent.
+        let mut scorer = Scorer::default();
+        for (sys, t) in sent {
             let r = t.try_take().expect("synchronous serve");
-            assert!(
-                r.residual < RESIDUAL_BOUND,
-                "reported residual escaped the bound: {} on {}",
-                r.residual,
-                r.engine
-            );
+            scorer.score(&sys, &r.x);
         }
+        let skipped = metrics.snapshot(0, plans.tunes(), plans.hits()).cert_skipped_verifies;
+        let skipped = skipped > skipped_before;
+        assert!(skipped || scorer.wrong == 0, "a verified flush served wrong answers: {scorer:?}");
+        (scorer.wrong, skipped)
     };
 
     // Flush 1: cold miss and the key's first sight — fully verified, not
     // yet analyzed (a certificate only pays off once the key repeats). It
     // is the first sample of the key's 1-in-K schedule.
-    serve(1);
+    assert_eq!(serve(1), (0, false));
     let snap = metrics.snapshot(0, plans.tunes(), plans.hits());
     assert_eq!(snap.certs_issued, 0, "analysis waits for the key's second flush: {snap:?}");
     assert_eq!(snap.cert_sampled_verifies + snap.cert_skipped_verifies, 0, "first flush is Full");
@@ -632,14 +635,18 @@ fn certified_bit_flip_is_caught_within_the_sampling_window_and_revokes() {
     // corruption is caught and the certificate revoked — the contract
     // caps that at K.
     let mut warm_flushes = 0usize;
+    let mut escaped = 0u64;
     while metrics.snapshot(0, plans.tunes(), plans.hits()).certs_revoked == 0 {
         warm_flushes += 1;
         assert!(
             warm_flushes <= K,
             "bit flip survived the whole sampling window (K = {K}) without revocation"
         );
-        serve(1 + warm_flushes as u64);
+        escaped += serve(1 + warm_flushes as u64).0;
     }
+    // What the window let through: only answers of skipped flushes, at
+    // most the K flushes before revocation.
+    assert!(escaped <= 4 * K as u64, "{escaped} wrong answers escaped the window");
     let snap = metrics.snapshot(0, plans.tunes(), plans.hits());
     assert!(plan.stats().bit_flips >= 1, "flip rate 1.0 injected nothing: {:?}", plan.stats());
     assert_eq!(snap.certs_issued, 1, "dominant matrix must certify: {snap:?}");
@@ -659,7 +666,7 @@ fn certified_bit_flip_is_caught_within_the_sampling_window_and_revokes() {
     // certificate is ever issued, revocation stays idempotent — and every
     // answer keeps clearing the residual bound under the same fault rate.
     for round in 0..(2 * K as u64) {
-        serve(100 + round);
+        assert_eq!(serve(100 + round), (0, false), "round {round} after revocation");
     }
     let snap = metrics.snapshot(0, plans.tunes(), plans.hits());
     assert_eq!(snap.cert_skipped_verifies, skips_at_revocation, "a revoked key skipped a verify");
