@@ -215,21 +215,23 @@ mod tests {
 
     const MS: Tick = 1_000_000;
 
-    /// Serves on pinned CPU Thomas and records each flush's tick, size
-    /// and reason, with a timer every millisecond.
+    /// Serves on pinned CPU Thomas and records each flush's tick, size,
+    /// reason and the timer rounds run before it, with a timer every
+    /// `period` ticks.
     struct Probe {
         launcher: Launcher,
         plans: PlanCache,
         breakers: CircuitBreakers,
         metrics: ServiceMetrics,
         cfg: DispatchConfig,
+        period: Tick,
         next_round: Tick,
-        flushes: Vec<(Tick, usize, FlushReason)>,
+        flushes: Vec<(Tick, usize, FlushReason, usize)>,
         rounds: Vec<Tick>,
     }
 
     impl Probe {
-        fn new(clock: &Clock) -> Self {
+        fn new(clock: &Clock, period: Tick) -> Self {
             Probe {
                 launcher: Launcher::gtx280(),
                 plans: PlanCache::new(),
@@ -241,7 +243,8 @@ mod tests {
                     clock: clock.clone(),
                     ..DispatchConfig::default()
                 },
-                next_round: MS,
+                period,
+                next_round: period,
                 flushes: Vec::new(),
                 rounds: Vec::new(),
             }
@@ -250,7 +253,7 @@ mod tests {
 
     impl Sink<f32> for Probe {
         fn serve(&mut self, flush: FlushedBatch<f32>) {
-            self.flushes.push((self.cfg.clock.now(), flush.n, flush.reason));
+            self.flushes.push((self.cfg.clock.now(), flush.n, flush.reason, self.rounds.len()));
             let device = DeviceCtx::solo(&self.launcher);
             serve_flush(device, &self.plans, &self.breakers, &self.metrics, &self.cfg, flush);
         }
@@ -258,7 +261,7 @@ mod tests {
         fn pump(&mut self, now: Tick) -> Option<Tick> {
             while now >= self.next_round {
                 self.rounds.push(now);
-                self.next_round += MS;
+                self.next_round += self.period;
             }
             Some(self.next_round)
         }
@@ -271,7 +274,7 @@ mod tests {
     #[test]
     fn flushes_follow_the_tie_break_rules_and_the_timer_runs_first() {
         let clock = Clock::sim();
-        let mut probe = Probe::new(&clock);
+        let mut probe = Probe::new(&clock, MS);
         // Three 64s fill a bucket at tick 0 and are served at once (rule
         // 3); a lone 32 lingers out; a 128 and a 32 linger out together at
         // 6 ms, in ascending size order, after that tick's timer round.
@@ -287,7 +290,7 @@ mod tests {
             &TraceHandle::disabled(),
         );
         let flushes: Vec<(usize, FlushReason)> =
-            probe.flushes.iter().map(|&(_, n, reason)| (n, reason)).collect();
+            probe.flushes.iter().map(|&(_, n, reason, _)| (n, reason)).collect();
         assert_eq!(
             flushes,
             [
@@ -306,11 +309,36 @@ mod tests {
     }
 
     #[test]
+    fn the_timer_runs_after_a_serve_before_the_next_arrival() {
+        // Six arrivals at tick 0 fill two buckets of 3. Serving the first
+        // moves the clock past 1 µs timer rounds, which must run before
+        // the arrivals that fill the second bucket are admitted.
+        let clock = Clock::sim();
+        let mut probe = Probe::new(&clock, 1_000);
+        drive(
+            &mut probe,
+            BucketTable::new(3, Duration::from_millis(1)),
+            usize::MAX,
+            &[0; 6],
+            |i| system(i as u64, 64),
+            &clock,
+            &TraceHandle::disabled(),
+        );
+        let [(0, 64, FlushReason::Full, 0), (second, 64, FlushReason::Full, rounds)] =
+            probe.flushes[..]
+        else {
+            panic!("two full flushes expected: {:?}", probe.flushes);
+        };
+        assert!(second >= 1_000, "the first serve took no sim time");
+        assert_eq!(rounds as Tick, second / 1_000, "rounds due by the second serve ran first");
+    }
+
+    #[test]
     fn a_full_queue_rejects_but_every_arrival_still_draws() {
         let clock = Clock::sim();
         let mut drawn = Vec::new();
         let tally = drive(
-            &mut Probe::new(&clock),
+            &mut Probe::new(&clock, MS),
             BucketTable::new(8, Duration::from_millis(1)),
             2,
             &[0, 0, 0, 0],
