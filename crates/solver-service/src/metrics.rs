@@ -2,9 +2,9 @@
 //!
 //! The hot path touches only atomics and two small maps behind short-held
 //! mutexes (dispatch counts and engine time keyed by engine, occupancy
-//! keyed by batch size). [`MetricsSnapshot`] is a cheap, consistent-enough copy for
-//! dashboards and tests; `to_json` is hand-rolled because the build is
-//! offline and the in-tree `serde` shim provides derives but no
+//! keyed by batch size). [`MetricsSnapshot`] is a cheap, consistent-enough
+//! copy for dashboards and tests; `to_json` is hand-rolled because the
+//! build is offline and the in-tree `serde` shim provides derives but no
 //! serializer.
 //!
 //! **Conservation laws** the test suite holds the service to:
