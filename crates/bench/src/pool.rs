@@ -83,7 +83,6 @@ fn drive_scaling(seed: u64, devices: usize, total: usize) -> ScalingCell {
             serve_flush(device, &plans, &breakers, &metrics, &cfg, flush)
         },
         BucketTable::new(8, Duration::from_millis(1)),
-        usize::MAX,
         &vec![0; total],
         |_| generator.system::<f32>(Workload::DiagonallyDominant, SCALING_N).into(),
         &clock,

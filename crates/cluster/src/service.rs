@@ -249,7 +249,6 @@ pub fn run_cluster_service(
     let tally = drive(
         &mut sink,
         BucketTable::new(TARGET_BATCH, MAX_LINGER),
-        usize::MAX,
         &arrivals,
         |i| {
             let n = workload.sizes[i % workload.sizes.len()].max(2);

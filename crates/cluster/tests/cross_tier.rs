@@ -53,7 +53,6 @@ fn run(sink: impl Sink<f32>, clock: &Clock) -> (Tally, BTreeMap<u64, Vec<u32>>) 
     let tally = drive(
         &mut recording,
         BucketTable::new(8, Duration::from_micros(200)),
-        usize::MAX,
         &arrivals,
         |i| -> Arrival<f32> {
             generator.system(Workload::DiagonallyDominant, SIZES[i % SIZES.len()]).into()

@@ -1,20 +1,22 @@
 //! The sim-clock serving loop (DESIGN.md §10.2): one thread merges arrival
 //! ticks with the bucket table's linger and deadline flushes, admits or
-//! rejects each arrival, hands every flush to a [`Sink`], and scores every
-//! answer against the system it admitted, never trusting the residual a
-//! response reports.
+//! rejects each arrival through the table's admission step (the one the
+//! threaded service calls), hands every flush to a [`Sink`], and scores
+//! every answer against the system it admitted, never trusting the
+//! residual a response reports.
 //!
 //! The trace-lab harness (one launcher), the `repro pool` scaling cell (a
 //! device pool) and the cluster service (ring routing, hedged RPCs, local
 //! degrade) are sinks of [`drive`]: where a flush is served is the loop's
 //! only variable. A sink's timer (the cluster's gossip) is pumped at every
-//! tick before any work and again after every serve. The four tie-break
+//! tick before any work and again after every serve. The three tie-break
 //! rules, fixed forever (changing one changes every captured trace), are
-//! commented where they apply.
+//! commented where they apply. The loop ends once every arrival is in and
+//! every bucket has flushed.
 
-use crate::batcher::{BucketTable, FlushedBatch};
+use crate::batcher::{Admitted, BucketTable, FlushedBatch};
 use crate::request::{request_for, Ticket};
-use crate::trace::{RejectReason, TraceEvent, TraceHandle};
+use crate::trace::{TraceEvent, TraceHandle};
 use gpu_sim::{Clock, Tick};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -83,7 +85,7 @@ pub struct Tally {
 
 /// An admitted request not yet served: its ticket, and the system it was
 /// sent, kept to score the answer and dropped once it is served.
-struct Admitted<T: Real> {
+struct Outstanding<T: Real> {
     ticket: Ticket<T>,
     matrix: Arc<Matrix<T>>,
     d: Vec<T>,
@@ -94,7 +96,7 @@ struct Served<'a, T: Real, S> {
     sink: &'a mut S,
     clock: &'a Clock,
     trace: &'a TraceHandle,
-    pending: HashMap<u64, Admitted<T>>,
+    pending: HashMap<u64, Outstanding<T>>,
     tally: Tally,
     scorer: Scorer,
     timer: Option<Tick>,
@@ -131,12 +133,12 @@ impl<T: Real, S: Sink<T>> Served<'_, T, S> {
 /// Runs `arrivals` (arrival ticks, non-decreasing) through `table` into
 /// `sink` on `clock`, tracing to `trace`, and returns the tally.
 /// `next_arrival(i)` generates arrival `i`'s system when its tick comes
-/// due, before the capacity check, so a rejected arrival still draws; an
-/// arrival is rejected when `capacity` admitted requests wait in buckets.
+/// due, before admission, so a rejected arrival still draws; the table's
+/// admission step rejects an arrival while its capacity of requests waits
+/// in buckets.
 pub fn drive<T: Real, S: Sink<T>>(
     sink: &mut S,
     mut table: BucketTable<T>,
-    capacity: usize,
     arrivals: &[Tick],
     mut next_arrival: impl FnMut(usize) -> Arrival<T>,
     clock: &Clock,
@@ -173,28 +175,20 @@ pub fn drive<T: Real, S: Sink<T>>(
         // further arrivals due: the one server was busy.)
         while i < arrivals.len() && arrivals[i] <= clock.now() {
             let Arrival { matrix, d, key } = next_arrival(i);
-            let (at, n) = (clock.now(), matrix.n() as u64);
             i += 1;
-            if table.pending() >= capacity {
-                served.tally.rejected += 1;
-                trace.emit(|| TraceEvent::Reject { at, n, reason: RejectReason::QueueFull });
-                continue;
-            }
-            let id = served.tally.latencies_ns.len() as u64;
-            served.tally.latencies_ns.push(0);
-            trace.emit(|| TraceEvent::Admit { at, id, n });
+            let (at, id) = (clock.now(), served.tally.latencies_ns.len() as u64);
             let sent = d.clone();
             let (request, ticket) = request_for(id, Arc::clone(&matrix), d, at, None, key);
-            served.pending.insert(id, Admitted { ticket, matrix, d: sent });
-            if let Some(flush) = table.insert(request, at) {
+            let Ok(admitted) = table.admit(request, at, trace) else {
+                served.tally.rejected += 1;
+                continue;
+            };
+            served.tally.latencies_ns.push(0);
+            served.pending.insert(id, Outstanding { ticket, matrix, d: sent });
+            if let Admitted::Full(flush) = admitted {
                 served.serve(flush);
             }
         }
-    }
-
-    // Rule 4: shutdown drains buckets in ascending size order.
-    for flush in table.flush_all() {
-        served.serve(flush);
     }
     debug_assert!(served.pending.is_empty(), "every admitted request served");
     Tally { wrong: served.scorer.wrong, ..served.tally }
@@ -283,7 +277,6 @@ mod tests {
         let tally = drive(
             &mut probe,
             BucketTable::new(3, Duration::from_millis(1)),
-            usize::MAX,
             &arrivals,
             |i| system(i as u64, sizes[i]),
             &clock,
@@ -318,7 +311,6 @@ mod tests {
         drive(
             &mut probe,
             BucketTable::new(3, Duration::from_millis(1)),
-            usize::MAX,
             &[0; 6],
             |i| system(i as u64, 64),
             &clock,
@@ -339,8 +331,7 @@ mod tests {
         let mut drawn = Vec::new();
         let tally = drive(
             &mut Probe::new(&clock, MS),
-            BucketTable::new(8, Duration::from_millis(1)),
-            2,
+            BucketTable::new(8, Duration::from_millis(1)).with_capacity(2),
             &[0, 0, 0, 0],
             |i| {
                 drawn.push(i);
@@ -375,7 +366,6 @@ mod tests {
         let tally = drive(
             &mut liar,
             BucketTable::new(2, Duration::from_millis(1)),
-            usize::MAX,
             &[0, 0, 0],
             |i| system(i as u64, 32),
             &Clock::sim(),

@@ -1,9 +1,8 @@
 //! Typed service-level errors.
 //!
 //! The service distinguishes *backpressure* (queue full — retry later,
-//! nothing was enqueued) from *shutdown* (the service is draining and will
-//! never accept this request) from *malformed input* (the request itself is
-//! wrong and retrying cannot help). Callers branch on the variant; an
+//! nothing was admitted) from an unmeetable deadline and from *malformed
+//! input* (the request itself is wrong and retrying cannot help). Callers branch on the variant; an
 //! open-loop client treats [`ServiceError::QueueFull`] as a signal to back
 //! off, exactly like an HTTP 429.
 
@@ -14,8 +13,8 @@ use tridiag_core::TridiagError;
 /// Why the service refused (or failed) a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The bounded admission queue is at capacity. Nothing was enqueued;
-    /// the caller should back off and retry. This is load shedding, not
+    /// `capacity` admitted requests already wait in buckets. Nothing was
+    /// admitted; the caller should back off and retry. This is load shedding, not
     /// failure — the alternative (blocking the submitter) would propagate
     /// the stall upstream.
     QueueFull {
@@ -28,14 +27,11 @@ pub enum ServiceError {
     },
     /// The request's deadline is already unmeetable at admission time
     /// (zero, or shorter than the time a solve could possibly take).
-    /// Nothing was enqueued; retrying with the same deadline cannot help.
+    /// Nothing was admitted; retrying with the same deadline cannot help.
     DeadlineExceeded {
         /// The deadline budget the caller asked for.
         deadline: Duration,
     },
-    /// The service is shutting down and no longer admits work. In-flight
-    /// requests are still drained and completed.
-    ShuttingDown,
     /// The request itself is invalid (e.g. a system smaller than 2
     /// unknowns). Retrying the same request can never succeed.
     InvalidRequest(TridiagError),
@@ -58,7 +54,6 @@ impl fmt::Display for ServiceError {
                     deadline.as_micros()
                 )
             }
-            ServiceError::ShuttingDown => f.write_str("service is shutting down"),
             ServiceError::InvalidRequest(e) => write!(f, "invalid request: {e}"),
         }
     }
@@ -95,7 +90,6 @@ mod tests {
         let late =
             ServiceError::DeadlineExceeded { deadline: Duration::from_micros(5) }.to_string();
         assert!(late.contains("deadline") && late.contains("5 us"), "{late}");
-        assert!(ServiceError::ShuttingDown.to_string().contains("shutting down"));
     }
 
     #[test]

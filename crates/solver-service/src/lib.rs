@@ -4,18 +4,21 @@
 //! solvers — the serving layer the paper's library would need in
 //! production, structured like an inference server:
 //!
-//! 1. **Admission & backpressure** ([`queue`]): a bounded queue that
-//!    *rejects* when full ([`ServiceError::QueueFull`]) instead of
-//!    blocking submitters — load is shed at the edge. A request shares
-//!    its coefficient matrix behind an `Arc` ([`request`]), so a
-//!    multi-RHS call copies its matrix once and enters the queue with one
-//!    push; a ticket wakes its waiter only when the waiter is parked. The
-//!    response hands the client's buffers back: the answer in the
-//!    request's own `d`, and the matrix `Arc` itself.
+//! 1. **Admission & backpressure** ([`batcher`]): the submitting thread
+//!    admits each request straight into the bucket table, under its lock,
+//!    with the same step the sim-clock [`driver`] calls. The table
+//!    *rejects* once `queue_capacity` requests wait in buckets
+//!    ([`ServiceError::QueueFull`]) instead of blocking submitters — load
+//!    is shed at the edge. A request shares its coefficient matrix behind
+//!    an `Arc` ([`request`]), so a multi-RHS call copies its matrix once
+//!    and is admitted under one lock; a ticket wakes its waiter only when
+//!    the waiter is parked. The response hands the client's buffers back:
+//!    the answer in the request's own `d`, and the matrix `Arc` itself.
 //! 2. **Micro-batching** ([`batcher`]): requests accumulate in per-size
 //!    buckets (systems of different `n` never share a kernel launch) and
-//!    flush at a target batch size or a max-linger deadline, whichever
-//!    comes first.
+//!    flush at a target batch size (the admitting thread routes the
+//!    batch) or a max-linger deadline (the batcher thread, a timer),
+//!    whichever comes first.
 //! 3. **Planning & dispatch** ([`planner`], [`dispatch`]): the first
 //!    flush of each `(n, element width, device)` key runs an autotune
 //!    tournament over [`gpu_solvers::GpuAlgorithm::paper_five`], the
@@ -68,12 +71,11 @@ pub mod driver;
 pub mod error;
 pub mod metrics;
 pub mod planner;
-pub mod queue;
 pub mod request;
 pub mod service;
 pub mod trace;
 
-pub use batcher::{BucketTable, FlushReason, FlushedBatch};
+pub use batcher::{Admitted, BucketTable, FlushReason, FlushedBatch};
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreakers};
 pub use dispatch::{serve_flush, DeviceCtx, DispatchConfig};
 pub use driver::{drive, Arrival, Sink, Tally};
@@ -82,7 +84,6 @@ pub use metrics::{DegradationState, DeviceSnapshot, MetricsSnapshot, ServiceMetr
 pub use planner::{
     autotune, autotune_ranked, autotune_ranked_on, CpuEngine, Engine, Plan, PlanCache,
 };
-pub use queue::{BoundedQueue, Pop, PushError};
 pub use request::{make_request, make_request_keyed, SolveRequest, SolveResponse, Ticket};
 pub use service::{ServiceConfig, SolverService};
 pub use trace::{RejectReason, TraceEvent, TraceHandle, TraceSink};

@@ -1,58 +1,63 @@
-//! The service itself: admission → batcher thread → sharded worker pool.
+//! The service itself: admission into the bucket table → sharded worker
+//! pool, with a timer thread for linger and deadline flushes.
 //!
 //! Thread topology (all plain `std::thread`, no external runtime):
 //!
 //! ```text
-//!  submitters ──► BoundedQueue ──► batcher ──► StealQueues ──► worker/device 0..D
-//!     (many)      (reject-full)   (1 thread)  (routing +       (serve_flush on
-//!                                              work stealing)    its own device)
+//!  submitters ──► BucketTable ──(full bucket)──► StealQueues ──► worker/device 0..D
+//!     (many)      (admit under         ▲         (routing +       (serve_flush on
+//!                  its lock)           │          work stealing)    its own device)
+//!                 batcher ─────────────┘
+//!                 (1 thread: linger, deadline and shutdown flushes)
 //! ```
 //!
-//! * **Admission** validates the system, assigns an id, and pushes into
-//!   the bounded queue — failing fast with [`ServiceError::QueueFull`]
-//!   under overload. One function admits every request: `submit` hands it
-//!   a batch of one, and [`SolverService::solve_many_rhs`] a batch of one
-//!   request per right-hand side, all sharing one copy of the matrix and
-//!   pushed with one queue operation. A batch larger than the free
-//!   capacity goes in pieces when [`ServiceConfig::client_retry`] is on:
-//!   after a piece fits, the caller parks until the batcher has made room.
-//!   A push that fits nothing is a rejection, with the same single bounded
-//!   retry as before. With the retry off, what does not fit is rejected.
-//! * **Wake-ups**: a push always wakes the batcher; a ticket wakes its
-//!   waiter only when a flag under its mutex says the waiter is parked
-//!   (see [`crate::request`]).
-//! * **The batcher** owns the [`BucketTable`], sleeping exactly until its
-//!   earliest linger deadline, and routes each flushed batch to a device
-//!   queue via the pool's [`RoutingPolicy`](device_pool::RoutingPolicy).
-//!   It traces each request's `Admit` (stamped with its admission tick)
-//!   as it takes the request from the queue, so in the trace every
-//!   `Admit` precedes the `Flush` that carries it.
+//! * **Admission** validates the system, assigns an id, and admits it
+//!   into the [`BucketTable`] under the table's lock, through the same
+//!   [`BucketTable::admit`] step the sim-clock driver calls — failing
+//!   fast with [`ServiceError::QueueFull`] while
+//!   [`ServiceConfig::queue_capacity`] requests wait in buckets. One
+//!   function admits every request: `submit` hands it a batch of one, and
+//!   [`SolverService::solve_many_rhs`] a batch of one request per
+//!   right-hand side, all sharing one copy of the matrix and admitted
+//!   under one lock. A request that fills its bucket flushes it, and the
+//!   submitting thread routes that batch to a device queue itself via the
+//!   pool's [`RoutingPolicy`](device_pool::RoutingPolicy). A batch larger
+//!   than the free capacity goes in pieces when
+//!   [`ServiceConfig::client_retry`] is on: after a piece fits, the
+//!   caller parks until a flush makes room. A piece that fits nothing is
+//!   a rejection, with a single bounded retry. With the retry off, what
+//!   does not fit is rejected.
+//! * **The batcher** is a timer: it sleeps until the table's earliest
+//!   linger or deadline flush point, flushes what is due and routes it.
+//!   An admission wakes it only when the batcher sleeps on an empty table
+//!   or the admitted request pulls that point earlier; no request passes
+//!   through it.
+//! * **Wake-ups**: a ticket wakes its waiter only when a flag under its
+//!   mutex says the waiter is parked (see [`crate::request`]).
 //! * **Workers** are pinned one-per-device (or share device 0 when the
 //!   service runs single-device). An idle worker steals batches from the
 //!   longest other queue; a worker whose device is lost re-routes its
 //!   backlog to survivors and falls back to the CPU safety net only when
 //!   no healthy device remains.
 //!
-//! Shutdown is a drain, not an abort: the queue closes (new submissions
-//! are rejected), the batcher pops everything already admitted, flushes
-//! all partial buckets with [`FlushReason::Shutdown`], and the workers
-//! finish every routed batch before joining. Every admitted request is
-//! always answered.
+//! Shutdown is a drain, not an abort: it consumes the service, so no
+//! submission can race it. The batcher flushes all partial buckets with
+//! [`FlushReason::Shutdown`], and the workers finish every routed batch
+//! before joining. Every admitted request is always answered.
 
-use crate::batcher::{BucketTable, FlushedBatch};
+use crate::batcher::{Admitted, BucketTable, FlushedBatch};
 use crate::breaker::{BreakerConfig, CircuitBreakers};
 use crate::dispatch::{serve_flush, DeviceCtx, DispatchConfig};
 use crate::error::ServiceError;
 use crate::metrics::{DeviceSnapshot, MetricsSnapshot, ServiceMetrics};
 use crate::planner::PlanCache;
-use crate::queue::{BoundedQueue, Pop, PushError};
 use crate::request::{request_for, SolveRequest, SolveResponse, Ticket};
 use crate::trace::{RejectReason, TraceEvent, TraceHandle};
 use device_pool::{DevicePool, PoolConfig, Pop as DevicePop, StealQueues};
 use factor_cache::SharedFactorCache;
 use gpu_sim::{tick_duration, Clock, Launcher, Tick};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tridiag_core::{Matrix, MatrixKey, Real, TridiagError, TridiagonalSystem};
@@ -63,7 +68,8 @@ use crate::batcher::FlushReason;
 /// Tunables for a [`SolverService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Admission queue capacity; pushes beyond this are rejected.
+    /// Admission bound: a submission is rejected while this many admitted
+    /// requests wait in buckets (a flushed batch no longer counts).
     pub queue_capacity: usize,
     /// Flush a size-class bucket when it holds this many requests.
     pub target_batch: usize,
@@ -126,9 +132,9 @@ pub struct ServiceConfig {
     /// When `true`, [`SolverService::submit_wait`] and
     /// [`SolverService::solve_many_rhs`] honor a `QueueFull::retry_after`
     /// hint with one bounded client-side retry before surfacing the
-    /// rejection, and a `solve_many_rhs` call larger than the queue's free
-    /// room waits for room between its pieces. When `false`, neither
-    /// retries nor waits.
+    /// rejection, and a `solve_many_rhs` call larger than the free room
+    /// waits for a flush to make room between its pieces. When `false`,
+    /// neither retries nor waits.
     pub client_retry: bool,
     /// The simulated device the GPU engines run on when no
     /// [`pool`](Self::pool) is configured.
@@ -189,8 +195,25 @@ impl Default for ServiceConfig {
     }
 }
 
+/// What the submitting threads and the batcher share under one lock.
+struct Buckets<T: Real> {
+    table: BucketTable<T>,
+    /// The tick the batcher is parked until: `Tick::MAX` while it waits on
+    /// an empty table, 0 while it is awake (it reads the table again
+    /// before it parks).
+    timer_at: Tick,
+    /// Callers parked on `Shared::room`.
+    waiting_for_room: usize,
+    /// Set by shutdown: the batcher drains the table and exits.
+    closed: bool,
+}
+
 struct Shared<T: Real> {
-    queue: BoundedQueue<SolveRequest<T>>,
+    buckets: Mutex<Buckets<T>>,
+    /// The batcher parks here.
+    timer: Condvar,
+    /// A caller whose piece filled the table parks here until a flush.
+    room: Condvar,
     metrics: ServiceMetrics,
     plans: PlanCache,
     breakers: CircuitBreakers,
@@ -203,6 +226,10 @@ struct Shared<T: Real> {
 }
 
 impl<T: Real> Shared<T> {
+    fn lock(&self) -> MutexGuard<'_, Buckets<T>> {
+        self.buckets.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Routes one flushed batch onto a healthy device's queue. With no
     /// healthy device left the batch still lands on queue 0: its worker
     /// serves it through the dead-device context, which the dispatch
@@ -259,8 +286,13 @@ impl<T: Real> SolverService<T> {
                 None => queues,
             }
         };
+        let table = BucketTable::new(config.target_batch, config.max_linger)
+            .with_deadline_slack(config.deadline_slack)
+            .with_capacity(config.queue_capacity);
         let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_capacity),
+            buckets: Mutex::new(Buckets { table, timer_at: 0, waiting_for_room: 0, closed: false }),
+            timer: Condvar::new(),
+            room: Condvar::new(),
             metrics: ServiceMetrics::new(),
             plans: PlanCache::new(),
             breakers: CircuitBreakers::with_clock(config.breaker, clock.clone())
@@ -290,12 +322,9 @@ impl<T: Real> SolverService<T> {
 
         let batcher = {
             let shared = shared.clone();
-            let target = config.target_batch;
-            let linger = config.max_linger;
-            let slack = config.deadline_slack;
             std::thread::Builder::new()
                 .name("solver-service-batcher".into())
-                .spawn(move || batcher_loop(shared, target, linger, slack))
+                .spawn(move || batcher_loop(shared))
                 .expect("spawn batcher")
         };
 
@@ -350,8 +379,7 @@ impl<T: Real> SolverService<T> {
     }
 
     /// Submits one system; returns a [`Ticket`] to wait on, or a typed
-    /// rejection ([`ServiceError::QueueFull`] under backpressure,
-    /// [`ServiceError::ShuttingDown`] after shutdown began).
+    /// rejection ([`ServiceError::QueueFull`] under backpressure).
     pub fn submit(&self, system: TridiagonalSystem<T>) -> Result<Ticket<T>, ServiceError> {
         self.submit_with_deadline(system, None)
     }
@@ -399,12 +427,13 @@ impl<T: Real> SolverService<T> {
     }
 
     /// The one admission path: one request per right-hand side in `rhs`,
-    /// all sharing `matrix`, its key and `deadline`, pushed in order (see
+    /// all sharing `matrix`, its key and `deadline`, admitted in order (see
     /// [`Self::enqueue`]). Every right-hand side is checked against the
-    /// matrix before any request is built. The requests wait for the push
+    /// matrix before any request is built. The requests wait for admission
     /// in a `P` and the tickets return in `rhs` order in a `K`: `Vec`s for
     /// a multi-RHS call, and for `submit` a [`One`], so that a one-shot
-    /// submission allocates only its matrix's `Arc` and its ticket's slot.
+    /// submission allocates only its matrix's `Arc` and its ticket's slot
+    /// (plus its bucket's growth, see `tests/alloc_counts.rs`).
     fn admit<P, K>(
         &self,
         matrix: Arc<Matrix<T>>,
@@ -414,9 +443,7 @@ impl<T: Real> SolverService<T> {
         retry: bool,
     ) -> Result<K, ServiceError>
     where
-        P: Default
-            + Extend<SolveRequest<T>>
-            + IntoIterator<Item = SolveRequest<T>, IntoIter: ExactSizeIterator>,
+        P: Default + Extend<SolveRequest<T>> + IntoIterator<Item = SolveRequest<T>>,
         K: Default + Extend<Ticket<T>>,
     {
         let n = matrix.n();
@@ -441,67 +468,84 @@ impl<T: Real> SolverService<T> {
             .zip(rhs)
             .map(|(id, d)| request_for(id, matrix.clone(), d, now, deadline, matrix_key))
             .unzip();
-        self.enqueue(n, &mut pending.into_iter(), retry)?;
+        self.enqueue(pending.into_iter(), retry)?;
         Ok(tickets)
     }
 
-    /// Pushes the `n`-row requests in `pending` onto the admission queue in
-    /// order: one queue operation when everything fits. Each push stamps
-    /// what it admits with the current tick, so a request's admission tick
-    /// is that of the push that admitted it. A push that fits nothing is a
-    /// rejection; with `retry` (and a `retry_after` hint) the caller backs
-    /// off once for the hinted duration and tries again, and a second
-    /// rejection in a row surfaces. When only a piece fits, with `retry`
-    /// the rest waits for the batcher to make room and goes in the next
-    /// piece; without it, the rest is rejected. Requests already pushed
+    /// Admits the requests in `pending` in order through the bucket
+    /// table's admission step, under the table's lock, and routes each
+    /// bucket they fill to a device queue. The requests of one piece share
+    /// one admission tick. A request the table rejects ends the piece: with
+    /// `retry` (and a `retry_after` hint) the caller backs off once for the
+    /// hinted duration and tries again, and a second rejection in a row
+    /// surfaces. When a piece has gone in and the table is full, with
+    /// `retry` the caller waits for a flush to make room and goes on with
+    /// the next piece; without it, the rest is rejected. Requests admitted
     /// when an error returns are still served.
     fn enqueue(
         &self,
-        n: usize,
-        pending: &mut impl ExactSizeIterator<Item = SolveRequest<T>>,
+        mut pending: impl Iterator<Item = SolveRequest<T>>,
         retry: bool,
     ) -> Result<(), ServiceError> {
         let shared = &self.shared;
-        let mut retried = false;
-        while pending.len() > 0 {
-            let at = shared.clock.now();
-            let stamped = pending.by_ref().map(|mut request| {
-                request.submitted_at = at;
-                request
-            });
-            match shared.queue.push_many(stamped) {
-                Ok(admitted) => {
-                    shared.metrics.on_submit(admitted as u64);
-                    retried = false;
-                    if pending.len() == 0 {
-                        break;
-                    }
-                    if retry {
-                        shared.queue.wait_for_room();
-                        continue;
-                    }
+        let (mut admitted, mut fitted, mut retried) = (0, false, false);
+        let mut next = pending.next();
+        let mut state = shared.lock();
+        let mut at = shared.clock.now();
+        while let Some(request) = next.take() {
+            if fitted && retry && state.table.is_full() {
+                state.waiting_for_room += 1;
+                while state.table.is_full() {
+                    state = shared.room.wait(state).unwrap_or_else(|p| p.into_inner());
                 }
-                Err(PushError::Full) => {}
-                Err(PushError::Closed) => {
-                    shared.metrics.on_reject();
-                    self.reject(at, n, RejectReason::ShuttingDown);
-                    return Err(ServiceError::ShuttingDown);
-                }
+                state.waiting_for_room -= 1;
+                at = shared.clock.now();
             }
-            shared.metrics.on_reject();
-            self.reject(at, n, RejectReason::QueueFull);
-            let retry_after = self.retry_after_hint();
-            match retry_after {
-                Some(hint) if retry && !retried => {
-                    retried = true;
-                    shared.clock.sleep(hint);
+            match state.table.admit(request, at, &shared.trace) {
+                Ok(admission) => {
+                    admitted += 1;
+                    (fitted, retried) = (true, false);
+                    match admission {
+                        // Wake the batcher only when it would sleep past
+                        // this request's flush point.
+                        Admitted::Waiting(flush_at) if flush_at < state.timer_at => {
+                            state.timer_at = 0;
+                            shared.timer.notify_one();
+                        }
+                        Admitted::Waiting(_) => {}
+                        Admitted::Full(flush) => {
+                            if state.waiting_for_room > 0 {
+                                shared.room.notify_all();
+                            }
+                            drop(state);
+                            shared.metrics.on_submit(std::mem::take(&mut admitted));
+                            shared.route_flush(flush);
+                            state = shared.lock();
+                        }
+                    }
+                    next = pending.next();
                 }
-                _ => {
-                    let capacity = shared.queue.capacity();
-                    return Err(ServiceError::QueueFull { capacity, retry_after });
+                Err(request) => {
+                    let capacity = state.table.capacity();
+                    drop(state);
+                    shared.metrics.on_submit(std::mem::take(&mut admitted));
+                    shared.metrics.on_reject();
+                    let retry_after = self.retry_after_hint();
+                    match retry_after {
+                        Some(hint) if retry && !retried => {
+                            retried = true;
+                            shared.clock.sleep(hint);
+                            state = shared.lock();
+                            at = shared.clock.now();
+                            next = Some(request);
+                        }
+                        _ => return Err(ServiceError::QueueFull { capacity, retry_after }),
+                    }
                 }
             }
         }
+        drop(state);
+        shared.metrics.on_submit(admitted);
         Ok(())
     }
 
@@ -523,10 +567,10 @@ impl<T: Real> SolverService<T> {
     /// requests still co-batch; they are just served cold.
     ///
     /// Admission honours backpressure the way [`submit_wait`] does: a
-    /// push that fits nothing gets one bounded client-side retry on a
+    /// piece that fits nothing gets one bounded client-side retry on a
     /// `retry_after` hint before the rejection surfaces. A call with more
-    /// right-hand sides than the queue has room for is admitted in
-    /// pieces, parking between them until the batcher makes room; with
+    /// right-hand sides than the table has room for is admitted in
+    /// pieces, parking between them until a flush makes room; with
     /// [`ServiceConfig::client_retry`] off it is rejected with
     /// [`ServiceError::QueueFull`] instead, once the first piece is in.
     /// Responses come back in `rhs_list` order; an empty list returns
@@ -577,7 +621,7 @@ impl<T: Real> SolverService<T> {
     /// breaker states are read at call time).
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.shared.metrics.snapshot(
-            self.shared.queue.len(),
+            self.shared.lock().table.pending(),
             self.shared.plans.tunes(),
             self.shared.plans.hits(),
         );
@@ -603,15 +647,16 @@ impl<T: Real> SolverService<T> {
         snap
     }
 
-    /// Drains and stops the service: closes admission, serves everything
-    /// already admitted, joins all threads, and returns the final metrics.
+    /// Drains and stops the service: serves everything already admitted,
+    /// joins all threads, and returns the final metrics.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.shutdown_in_place();
         self.metrics()
     }
 
     fn shutdown_in_place(&mut self) {
-        self.shared.queue.close();
+        self.shared.lock().closed = true;
+        self.shared.timer.notify_one();
         if let Some(handle) = self.batcher.take() {
             let _ = handle.join();
         }
@@ -673,46 +718,45 @@ fn worst_breaker_state(states: &std::collections::BTreeMap<String, String>, id: 
     worst
 }
 
-/// The batcher thread: queue → buckets → flush → routed device queue.
-fn batcher_loop<T: Real>(
-    shared: Arc<Shared<T>>,
-    target_batch: usize,
-    max_linger: Duration,
-    deadline_slack: Duration,
-) {
-    let mut table = BucketTable::new(target_batch, max_linger).with_deadline_slack(deadline_slack);
+/// The batcher thread, a timer: flushes and routes every bucket whose
+/// linger or deadline flush point has come, parks until the table's next
+/// one in between, and at shutdown drains the table and closes the device
+/// queues — workers exit once their backlog is served.
+fn batcher_loop<T: Real>(shared: Arc<Shared<T>>) {
+    let mut state = shared.lock();
     loop {
-        let deadline = table.next_deadline();
-        match shared.queue.pop_until(deadline, &shared.clock) {
-            Pop::Item(request) => {
-                shared.trace.emit(|| TraceEvent::Admit {
-                    at: request.submitted_at,
-                    id: request.id,
-                    n: request.n() as u64,
-                });
-                let now = shared.clock.now();
-                if let Some(flush) = table.insert(request, now) {
-                    shared.route_flush(flush);
-                }
-                for flush in table.flush_expired(now) {
-                    shared.route_flush(flush);
-                }
+        state.timer_at = 0;
+        let due = if state.closed {
+            state.table.flush_all()
+        } else {
+            state.table.flush_expired(shared.clock.now())
+        };
+        if !due.is_empty() {
+            if state.waiting_for_room > 0 {
+                shared.room.notify_all();
             }
-            Pop::TimedOut => {
-                for flush in table.flush_expired(shared.clock.now()) {
-                    shared.route_flush(flush);
-                }
-            }
-            Pop::Drained => {
-                // Shutdown: everything admitted has been popped; flush the
-                // partial buckets so no request is stranded, then close the
-                // device queues — workers exit once their backlog is served.
-                for flush in table.flush_all() {
-                    shared.route_flush(flush);
-                }
-                shared.queues.close();
-                break;
-            }
+            drop(state);
+            due.into_iter().for_each(|flush| shared.route_flush(flush));
+            state = shared.lock();
+            continue;
+        }
+        if state.closed {
+            shared.queues.close();
+            return;
+        }
+        let Some(at) = state.table.next_deadline() else {
+            state.timer_at = Tick::MAX;
+            state = shared.timer.wait(state).unwrap_or_else(|p| p.into_inner());
+            continue;
+        };
+        let Some(budget) = shared.clock.park_budget(at) else { continue };
+        state.timer_at = at;
+        state = shared.timer.wait_timeout(state, budget).unwrap_or_else(|p| p.into_inner()).0;
+        // A sim clock moves only when someone advances it: once a quantum
+        // passes with no admission pulling the flush point earlier and no
+        // shutdown, this thread advances it there.
+        if shared.clock.is_sim() && state.timer_at == at && !state.closed {
+            shared.clock.advance_to(at);
         }
     }
 }
@@ -832,14 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn submissions_after_shutdown_are_rejected() {
-        let service: SolverService<f32> = SolverService::start(quick_config());
-        service.shared.queue.close();
-        let system = Generator::new(4).system(Workload::DiagonallyDominant, 32);
-        assert!(matches!(service.submit(system), Err(ServiceError::ShuttingDown)));
-    }
-
-    #[test]
     fn undersized_systems_are_rejected_at_admission() {
         let service: SolverService<f32> = SolverService::start(quick_config());
         let one = TridiagonalSystem { a: vec![0.0], b: vec![2.0], c: vec![0.0], d: vec![1.0] };
@@ -848,8 +884,8 @@ mod tests {
 
     #[test]
     fn queue_full_rejects_with_typed_error() {
-        // One-slot queue, long linger, and a first request that parks in
-        // the batcher leaves the queue momentarily full for a burst.
+        // One waiting request fills a table of capacity 1 until its
+        // bucket flushes, and the 60 s linger keeps it waiting.
         let config = ServiceConfig {
             queue_capacity: 1,
             target_batch: 1000,
@@ -859,30 +895,16 @@ mod tests {
         };
         let service: SolverService<f32> = SolverService::start(config);
         let mut generator = Generator::new(5);
-        let mut rejections = 0u64;
-        let mut attempts = 0u64;
-        // Burst until the 1-slot queue sheds load at least once (bounded so
-        // a pathological scheduler cannot hang the test).
-        while rejections == 0 && attempts < 10_000 {
-            attempts += 1;
-            match service.submit(generator.system(Workload::DiagonallyDominant, 32)) {
-                Ok(_) => {}
-                Err(ServiceError::QueueFull { capacity, retry_after }) => {
-                    assert_eq!(capacity, 1);
-                    if let Some(hint) = retry_after {
-                        assert!(hint >= Duration::from_micros(20));
-                        assert!(hint <= Duration::from_millis(50));
-                    }
-                    rejections += 1;
-                }
-                Err(e) => panic!("unexpected error: {e}"),
-            }
+        let first = service.submit(generator.system(Workload::DiagonallyDominant, 32)).unwrap();
+        match service.submit(generator.system(Workload::DiagonallyDominant, 64)) {
+            Err(ServiceError::QueueFull { capacity: 1, retry_after: None }) => {}
+            other => panic!("expected a full queue with no drain rate yet, got {other:?}"),
         }
-        assert!(rejections > 0, "a burst into a 1-slot queue must shed load");
+        assert_eq!(service.metrics().queue_depth, 1);
         let snap = service.shutdown();
-        assert_eq!(snap.rejected, rejections);
-        assert_eq!(snap.submitted + snap.rejected, attempts);
-        assert_eq!(snap.completed, snap.submitted);
+        assert_eq!((snap.submitted, snap.rejected, snap.completed), (1, 1, 1));
+        assert_eq!(snap.flushes_shutdown, 1);
+        assert!(first.try_take().is_some(), "the admitted request is answered");
     }
 
     #[test]
@@ -925,6 +947,42 @@ mod tests {
         let snap = service.shutdown();
         assert_eq!(snap.flushes_deadline, 1, "the deadline triggered the flush");
         assert_eq!(snap.completed, 1);
+    }
+
+    #[test]
+    fn a_deadline_admitted_while_the_batcher_sleeps_toward_linger_wakes_it() {
+        // A first request parks the batcher toward its 60 s linger; a
+        // second size class's 20 ms deadline pulls the flush point earlier,
+        // so its admission must wake the batcher.
+        let config = ServiceConfig {
+            max_linger: Duration::from_secs(60),
+            target_batch: 1000,
+            ..quick_config()
+        };
+        let service: SolverService<f32> = SolverService::start(config);
+        let mut generator = Generator::new(10);
+        let lingering = service.submit(generator.system(Workload::DiagonallyDominant, 32)).unwrap();
+        let started = std::time::Instant::now();
+        loop {
+            let timer_at = service.shared.lock().timer_at;
+            if timer_at != 0 && timer_at != Tick::MAX {
+                break; // parked toward the linger
+            }
+            assert!(started.elapsed() < Duration::from_secs(10), "the batcher never parked");
+            std::thread::yield_now();
+        }
+        let system = generator.system(Workload::DiagonallyDominant, 64);
+        let deadline = service.clock().tick_after(Duration::from_millis(20));
+        let ticket = service.submit_with_deadline(system, Some(deadline)).unwrap();
+        let resp = ticket.wait();
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_secs(10), "a lost wake-up: waited {waited:?}");
+        assert!(resp.residual < 1e-2, "{}", resp.residual);
+        assert!(lingering.try_take().is_none(), "the 60 s linger has not passed");
+        let snap = service.shutdown();
+        assert_eq!((snap.flushes_deadline, snap.flushes_shutdown), (1, 1));
+        assert_eq!(snap.completed, 2);
+        assert!(lingering.try_take().is_some());
     }
 
     #[test]

@@ -25,9 +25,11 @@ use std::sync::Arc;
 /// Why a submission was turned away at admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
-    /// The bounded queue was at capacity.
+    /// The bucket table held its capacity of waiting requests.
     QueueFull,
-    /// The service is shutting down.
+    /// The service was shutting down. Nothing emits it any more (shutdown
+    /// consumes the service, so no admission can meet it); it stays so
+    /// that TLB1 tag 1 still decodes.
     ShuttingDown,
     /// The system failed validation (e.g. too small).
     Invalid,
@@ -52,7 +54,7 @@ impl RejectReason {
 /// codec (trace-lab) round-trips them without lossy casts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A request passed admission into the batcher queue.
+    /// A request passed admission into the bucket table.
     Admit {
         /// Decision tick.
         at: Tick,

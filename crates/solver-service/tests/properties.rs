@@ -13,8 +13,8 @@
 use gpu_sim::Launcher;
 use proptest::prelude::*;
 use solver_service::{
-    serve_flush, BucketTable, CircuitBreakers, DeviceCtx, DispatchConfig, FlushReason,
-    FlushedBatch, PlanCache, ServiceMetrics,
+    serve_flush, Admitted, BucketTable, CircuitBreakers, DeviceCtx, DispatchConfig, FlushReason,
+    FlushedBatch, PlanCache, ServiceMetrics, TraceHandle,
 };
 use std::time::Duration;
 use tridiag_core::residual::max_abs_diff;
@@ -126,12 +126,14 @@ proptest! {
                 i as u64,
                 generator.system(Workload::DiagonallyDominant, n),
             );
-            if let Some(flush) = table.insert(req, now) {
+            let admitted = table.admit(req, now, &TraceHandle::disabled());
+            if let Ok(Admitted::Full(flush)) = admitted {
                 prop_assert_eq!(flush.requests.len(), target);
                 prop_assert!(flush.requests.iter().all(|r| r.n() == flush.n));
                 flushed_ids.extend(flush.requests.iter().map(|r| r.id));
             }
         }
+        prop_assert_eq!(table.pending(), sizes.len() - flushed_ids.len());
         for flush in table.flush_all() {
             prop_assert!(flush.requests.iter().all(|r| r.n() == flush.n));
             flushed_ids.extend(flush.requests.iter().map(|r| r.id));

@@ -134,8 +134,8 @@ pub fn run(scenario: &Scenario) -> RunOutput {
         BucketTable::new(
             scenario.target_batch.max(1) as usize,
             Duration::from_micros(scenario.max_linger_us),
-        ),
-        scenario.queue_capacity.max(1) as usize,
+        )
+        .with_capacity(scenario.queue_capacity.max(1) as usize),
         &arrivals,
         next_arrival,
         &clock,
