@@ -14,7 +14,7 @@ use crate::net::Network;
 use crate::node::ClusterNode;
 use crate::ring::HashRing;
 use crate::{LinkModel, NetFaultConfig};
-use device_pool::{PoolConfig, RoutingPolicy};
+use device_pool::PoolConfig;
 use gpu_sim::{derive_node_seed, Clock, FaultConfig, Launcher};
 use solver_service::{BreakerConfig, BreakerState, TraceEvent, TraceHandle};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,8 +92,6 @@ pub struct ClusterConfig {
     pub breaker: BreakerConfig,
     /// Launcher template cloned per device.
     pub base: Launcher,
-    /// Intra-node device routing policy.
-    pub routing: RoutingPolicy,
     /// Virtual points per node on the hash ring.
     pub vnodes: usize,
     /// The cluster clock; use [`Clock::sim`] for deterministic scenarios.
@@ -118,7 +116,6 @@ impl ClusterConfig {
             gossip_period: Duration::from_micros(500),
             breaker: BreakerConfig::default(),
             base: Launcher::gtx280(),
-            routing: RoutingPolicy::LeastLoaded,
             vnodes: 64,
             clock: Clock::sim(),
             trace: TraceHandle::disabled(),
@@ -168,7 +165,6 @@ impl Cluster {
                     .map(|(_, dev, tpl)| (*dev, *tpl))
                     .collect();
                 pool_cfg.base = cfg.base.clone();
-                pool_cfg.routing = cfg.routing;
                 ClusterNode::new(i, pool_cfg, cfg.breaker, cfg.clock.clone())
             })
             .collect();

@@ -6,7 +6,8 @@ use cluster::{
     node_key, run_cluster_service, BlockedWindow, ClusterConfig, ClusterServiceConfig,
     ClusterWorkload, CrashWindow, HashRing, NetFaultConfig, PeerState,
 };
-use solver_service::BreakerState;
+use gpu_solvers::GpuAlgorithm;
+use solver_service::{BreakerState, Engine};
 use std::time::Duration;
 
 fn workload() -> ClusterWorkload {
@@ -37,6 +38,18 @@ fn quiet_cluster_serves_everything_with_sticky_routing() {
     // Tune-once: each node autotuned at most its own resident classes.
     let tunes: u64 = (0..cluster.len()).map(|i| cluster.node(i).plans.tunes()).sum();
     assert!(tunes <= workload().sizes.len() as u64, "{tunes} tunes for 6 size classes");
+}
+
+#[test]
+fn a_quiet_node_spreads_its_gpu_flushes_over_its_devices() {
+    let mut cluster = ClusterConfig::new(1, 4).build();
+    let cfg = ClusterServiceConfig { pin_engine: Some(Engine::Gpu(GpuAlgorithm::CrGlobalOnly)) };
+    let stats = run_cluster_service(&mut cluster, &cfg, &workload());
+    assert_eq!((stats.completed, stats.wrong), (stats.offered, 0));
+    let dispatched: Vec<u64> =
+        cluster.node(0).pool.devices().iter().map(|device| device.dispatched()).collect();
+    let busy = dispatched.iter().filter(|&&flushes| flushes > 0).count();
+    assert!(busy > 1, "every GPU flush landed on one device: {dispatched:?}");
 }
 
 #[test]
