@@ -176,7 +176,7 @@ impl<T: Real> BucketTable<T> {
     }
 
     /// The admission bound.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -186,7 +186,7 @@ impl<T: Real> BucketTable<T> {
     }
 
     /// Whether [`admit`](Self::admit) would reject now.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.pending >= self.capacity
     }
 

@@ -421,7 +421,7 @@ pub struct DeviceSnapshot {
 /// machine-readable status report.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MetricsSnapshot {
-    /// Requests admitted to the queue.
+    /// Requests admitted.
     pub submitted: u64,
     /// Requests completed (ticket fulfilled).
     pub completed: u64,
@@ -475,7 +475,8 @@ pub struct MetricsSnapshot {
     pub cert_sampled_verifies: u64,
     /// Certificates permanently revoked after a caught corruption.
     pub certs_revoked: u64,
-    /// Admission queue depth at snapshot time.
+    /// Requests waiting in buckets at snapshot time (the count
+    /// `ServiceConfig::queue_capacity` bounds).
     pub queue_depth: usize,
     /// Autotune tournaments run so far.
     pub plan_tunes: u64,

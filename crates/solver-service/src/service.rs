@@ -69,7 +69,7 @@ use crate::batcher::FlushReason;
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Admission bound: a submission is rejected while this many admitted
-    /// requests wait in buckets (a flushed batch no longer counts).
+    /// requests wait in buckets (requests in flushed batches do not count).
     pub queue_capacity: usize,
     /// Flush a size-class bucket when it holds this many requests.
     pub target_batch: usize,
@@ -373,7 +373,7 @@ impl<T: Real> SolverService<T> {
         }
         let uptime = tick_duration(self.shared.started_at, self.shared.clock.now());
         let per_request = uptime.div_f64(completed as f64);
-        // One queue slot frees after ~one request drains; clamp to sane
+        // Room for one request frees after ~one request drains; clamp to sane
         // bounds so a cold service cannot suggest minutes.
         Some(per_request.clamp(Duration::from_micros(20), Duration::from_millis(50)))
     }
@@ -403,7 +403,7 @@ impl<T: Real> SolverService<T> {
     }
 
     /// Admits one system as a batch of one; `retry` grants the single
-    /// bounded retry on a full queue. The system's vectors move into the
+    /// bounded retry on a full table. The system's vectors move into the
     /// request without copying.
     fn submit_one(
         &self,
@@ -605,8 +605,8 @@ impl<T: Real> SolverService<T> {
         Ok(tickets.into_iter().map(Ticket::wait).collect())
     }
 
-    /// Convenience: submit and block for the answer. When the queue is
-    /// full and carries a `retry_after` hint (and
+    /// Convenience: submit and block for the answer. When the table is
+    /// full and the rejection carries a `retry_after` hint (and
     /// [`ServiceConfig::client_retry`] is on), backs off once for the
     /// hinted duration and retries before surfacing the rejection —
     /// exactly one bounded retry, never a loop.

@@ -27,9 +27,8 @@ use std::sync::Arc;
 pub enum RejectReason {
     /// The bucket table held its capacity of waiting requests.
     QueueFull,
-    /// The service was shutting down. Nothing emits it any more (shutdown
-    /// consumes the service, so no admission can meet it); it stays so
-    /// that TLB1 tag 1 still decodes.
+    /// The service was shutting down. No admission emits it, since
+    /// shutdown consumes the service; it stays so that TLB1 tag 1 decodes.
     ShuttingDown,
     /// The system failed validation (e.g. too small).
     Invalid,
