@@ -21,7 +21,7 @@ use gpu_sim::{hillis_steele, BlockCtx, GridKernel, Phase, Shared, ThreadCtx};
 use tridiag_core::Real;
 
 /// Overflow-handling mode for recursive doubling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RdMode {
     /// Plain scan — overflows in `f32` for diagonally dominant systems
     /// larger than ~64 unknowns (paper §5.4); overflow is surfaced as

@@ -15,7 +15,7 @@ use tridiag_core::{
 
 /// Every GPU solver this crate provides: the paper's five plus the ablation
 /// variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuAlgorithm {
     /// Cyclic reduction.
     Cr,
