@@ -87,6 +87,6 @@ impl ClusterNode {
 
     /// True when the pool still has at least one healthy device.
     pub fn has_healthy_device(&self) -> bool {
-        !self.pool.healthy().is_empty()
+        self.pool.devices().iter().any(|d| !d.is_lost())
     }
 }

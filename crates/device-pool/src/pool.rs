@@ -257,29 +257,21 @@ impl DevicePool {
     /// `None` when every device is lost (callers fall back to the CPU
     /// safety net).
     pub fn route(&self, n: usize) -> Option<usize> {
-        let healthy = self.healthy();
-        if healthy.is_empty() {
+        let healthy = || self.devices.iter().filter(|d| !d.is_lost()).map(|d| d.id);
+        let count = healthy().count();
+        if count == 0 {
             return None;
         }
-        Some(match self.routing {
-            RoutingPolicy::RoundRobin => {
-                let tick = self.rr.fetch_add(1, Ordering::Relaxed);
-                healthy[tick % healthy.len()]
+        let k = match self.routing {
+            RoutingPolicy::RoundRobin => self.rr.fetch_add(1, Ordering::Relaxed) % count,
+            RoutingPolicy::LeastLoaded => {
+                return healthy().min_by_key(|&i| (self.devices[i].pending(), i));
             }
-            RoutingPolicy::LeastLoaded => healthy
-                .iter()
-                .copied()
-                .min_by_key(|&i| (self.devices[i].pending(), i))
-                .expect("healthy is non-empty"),
-            RoutingPolicy::PlanAffinity => {
-                // splitmix-style avalanche of n so adjacent sizes spread.
-                let mut h = (n as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-                h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                h ^= h >> 31;
-                healthy[(h % healthy.len() as u64) as usize]
-            }
-        })
+            RoutingPolicy::PlanAffinity => (affinity_hash(n) % count as u64) as usize,
+        };
+        // A device lost since the count leaves fewer healthy ids; then the
+        // last one still healthy serves.
+        healthy().nth(k).or_else(|| healthy().last())
     }
 
     /// Notes a job routed to device `dev` (feeds least-loaded routing).
@@ -308,6 +300,15 @@ impl DevicePool {
             })
             .collect()
     }
+}
+
+/// Splitmix-style avalanche of `n`, so adjacent sizes spread over the
+/// devices under [`RoutingPolicy::PlanAffinity`].
+fn affinity_hash(n: usize) -> u64 {
+    let mut h = (n as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 31)
 }
 
 #[cfg(test)]
@@ -417,6 +418,37 @@ mod tests {
         let moved = pool.route(64).unwrap();
         assert_ne!(moved, d64, "affinity must remap away from a lost device");
         assert_eq!(pool.route(64), Some(moved), "...and stay sticky afterwards");
+    }
+
+    #[test]
+    fn every_policy_routes_as_the_healthy_list_formula_for_every_loss_mask() {
+        // The formulas `route` used when it collected `healthy()` first.
+        for routing in
+            [RoutingPolicy::RoundRobin, RoutingPolicy::LeastLoaded, RoutingPolicy::PlanAffinity]
+        {
+            for mask in 0u32..16 {
+                let pool = PoolConfig { routing, ..PoolConfig::new(4) }.build();
+                for (i, load) in [2, 0, 3, 0].into_iter().enumerate() {
+                    (0..load).for_each(|_| pool.note_enqueued(i));
+                    if mask & (1 << i) != 0 {
+                        pool.mark_lost(i);
+                    }
+                }
+                let healthy = pool.healthy();
+                for (tick, n) in [64usize, 128, 256, 512, 1024, 7].into_iter().enumerate() {
+                    let expected = (!healthy.is_empty()).then(|| match routing {
+                        RoutingPolicy::RoundRobin => healthy[tick % healthy.len()],
+                        RoutingPolicy::LeastLoaded => {
+                            *healthy.iter().min_by_key(|&&i| (pool.device(i).pending(), i)).unwrap()
+                        }
+                        RoutingPolicy::PlanAffinity => {
+                            healthy[(affinity_hash(n) % healthy.len() as u64) as usize]
+                        }
+                    });
+                    assert_eq!(pool.route(n), expected, "{routing:?} mask {mask:04b} n {n}");
+                }
+            }
+        }
     }
 
     #[test]
