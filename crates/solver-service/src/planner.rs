@@ -18,19 +18,22 @@
 //! power-of-two sizes, which no GPU kernel accepts, route straight to the
 //! CPU.
 //!
-//! A GPU score is computed once per process. The simulator counts bank
-//! conflicts and operations exactly, so on the fixed probe a candidate's
-//! outcome depends only on the device model, the cost model, the kernel,
-//! `n`, the probe count and the element width — provided the launcher has
-//! no fault plan (which counts, and may fail or corrupt, every launch) and
-//! its sanitizer is `Off`. For such a launcher the tournament reads each
-//! candidate's outcome from one process-wide table keyed by exactly those
-//! six values, and interprets the kernel only on the key's first use; any
-//! other launcher probes live, so fault schedules keep their launch
-//! indices. The CPU baseline is never tabled: a reused wall-clock reading
-//! would pin one moment's host noise on every later service. Each
-//! [`PlanCache`] still tunes, ranks and counts its own tournaments, so every
-//! plan and ranking equals what a live tournament picks.
+//! A fault-free launcher's GPU score is computed once per process. The
+//! simulator counts bank conflicts and operations exactly, so on the fixed
+//! probe a candidate's outcome depends only on the device model, the cost
+//! model, the kernel, `n`, the probe count and the element width —
+//! provided the launcher has no fault plan (which counts, and may fail or
+//! corrupt, every launch) and its sanitizer is `Off`. For such a launcher
+//! the tournament reads each candidate's outcome from one process-wide
+//! table keyed by exactly those six values, and interprets the kernel only
+//! on the key's first use; any other launcher probes live, so fault
+//! schedules keep their launch indices. The table never evicts: it holds
+//! at most one entry per distinct device and cost model × candidate ×
+//! power-of-two size × probe count × element width. The CPU baseline is
+//! never tabled: a reused wall-clock reading would pin one moment's host
+//! noise on every later service. Each [`PlanCache`] still tunes, ranks and
+//! counts its own tournaments, so every plan and ranking equals what a live
+//! tournament picks.
 
 use gpu_sim::{Clock, CostModel, DeviceConfig, Launcher, SanitizeMode};
 use gpu_solvers::{solve_batch, GpuAlgorithm};
