@@ -665,4 +665,24 @@ mod tests {
         }
         assert_eq!(tabled(&base, key), Some(Some(base_ms)), "the base entry is untouched");
     }
+
+    #[test]
+    fn the_element_width_and_the_probe_count_key_their_own_scores() {
+        let launcher = own_launcher(6.0);
+        let clock = Clock::sim();
+        autotune_ranked_on::<f32>(&launcher, 64, 4, &clock);
+        let f32_ms = tabled(&launcher, (GpuAlgorithm::CrGlobalOnly, 64, 4, 4)).flatten().unwrap();
+
+        let before = live_probes();
+        autotune_ranked_on::<f64>(&launcher, 64, 4, &clock);
+        assert_eq!(live_probes() - before, gpu_candidates::<f64>(&launcher, 64).len() as u64);
+        let f64_ms = tabled(&launcher, (GpuAlgorithm::CrGlobalOnly, 64, 4, 8)).flatten().unwrap();
+        assert!(f64_ms > f32_ms, "twice the bytes to move: {f64_ms} vs {f32_ms}");
+
+        let before = live_probes();
+        autotune_ranked_on::<f32>(&launcher, 64, 8, &clock);
+        assert_eq!(live_probes() - before, gpu_candidates::<f32>(&launcher, 64).len() as u64);
+        let wide_ms = tabled(&launcher, (GpuAlgorithm::CrGlobalOnly, 64, 8, 4)).flatten().unwrap();
+        assert!(wide_ms > f32_ms, "twice the systems: {wide_ms} vs {f32_ms}");
+    }
 }
